@@ -19,11 +19,12 @@
 //     lines, no lost one-way updates, no duplications from retries — and
 //     teardown leaves no goroutines or file descriptors behind.
 //
-// The soak exercises the full hardened stack: the rmtp client's deadlines,
-// jittered retries, retry budget, and circuit breaker; the server's
-// lease-then-delete fetches, capacity NACKs, and overload protection; and
-// oocmine.ResilientStore's shadow copies, connection-epoch verification,
-// and fallback-tier failover. A schedule step can be traced (trace.KChaos),
+// The soak exercises the full hardened stack the TCP fleet runs: the rmtp
+// client's deadlines, jittered retries, retry budget, and circuit breaker;
+// the server's lease-then-delete fetches, capacity NACKs, and overload
+// protection; remotemem.TCPPager's shadow copies and connection-epoch
+// verification; and memtable.FallbackPager's failover to a spill file
+// (memtable.FilePager). A schedule step can be traced (trace.KChaos),
 // stamping the operation counter in place of virtual time.
 //
 // Faults are scheduled on the operation counter, not wall time, so a seeded

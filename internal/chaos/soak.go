@@ -8,10 +8,12 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/oocmine"
+	"repro/internal/memtable"
+	"repro/internal/remotemem"
 	"repro/internal/rmtp"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // SoakConfig parameterizes one soak run. Zero fields get working defaults.
@@ -27,7 +29,7 @@ type SoakConfig struct {
 	MaxUpdates int
 	// Schedule is the fault plan, applied on the operation counter.
 	Schedule Schedule
-	// SpillDir hosts the fallback FileStore (default: a temp dir).
+	// SpillDir hosts the fallback spill file (default: a temp dir).
 	SpillDir string
 	// ServerCapacity is the rmtp server's memory budget (0 = unlimited).
 	ServerCapacity int64
@@ -50,18 +52,24 @@ type SoakReport struct {
 	FinalCounts  map[string]int64 // key -> final count, summed over fetches
 	Ops          int
 	StepsApplied int
-	Resilient    oocmine.ResilientStats
-	Client       rmtp.Metrics
-	Proxy        ProxyStats
-	Server       rmtp.ServerMetrics // state at shutdown (post-crash servers: the restarted one)
-	Goroutines   int                // leaked goroutines still alive after teardown
-	FDs          int                // leaked file descriptors after teardown (-1: unknown)
-	Elapsed      time.Duration
+	// Pager counts the TCPPager's shadow, verification and taint activity.
+	Pager remotemem.TCPPagerStats
+	// FallbackStores counts lines diverted to the spill file because the
+	// server refused them (capacity NACK, open breaker, dead connection).
+	FallbackStores uint64
+	Client         rmtp.Metrics // the pager's rmtp client
+	Proxy          ProxyStats
+	Server         rmtp.ServerMetrics // state at shutdown (post-crash servers: the restarted one)
+	Goroutines     int                // leaked goroutines still alive after teardown
+	FDs            int                // leaked file descriptors after teardown (-1: unknown)
+	Elapsed        time.Duration
 }
 
 // RunSoak drives a seeded workload of real rmtp traffic through a
 // fault-injecting proxy against a real server, applying the schedule, and
-// checks the end-state invariants:
+// checks the end-state invariants. The pager under test is the TCP fleet's
+// own: a FallbackPager whose primary is a one-server TCPPager dialed at the
+// proxy and whose secondary is a spill file. The invariants:
 //
 //   - no lost lines/updates: every key's final count equals the locally
 //     computed model (the count a fault-free run produces),
@@ -108,7 +116,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	goroutinesBefore := runtime.NumGoroutine()
 	fdsBefore := countFDs()
 
-	// The stack under test: server <- proxy <- rmtp client <- ResilientStore.
+	// The stack under test: server <- proxy <- TCPPager <- FallbackPager,
+	// with a spill file as the fallback tier.
 	handle, err := StartServer(cfg.ServerCapacity, cfg.ServerOptions)
 	if err != nil {
 		return nil, err
@@ -119,18 +128,19 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		return nil, err
 	}
 	defer proxy.Close()
-	client, err := rmtp.DialOptions(proxy.Addr(), "soak", cfg.ClientOptions)
+	tp, err := remotemem.NewTCPPager("soak", []string{proxy.Addr()}, cfg.ClientOptions)
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
-	spill, err := oocmine.NewFileStore(filepath.Join(cfg.SpillDir, "soak-spill"))
+	defer tp.Close()
+	tp.SetLogger(logf)
+	spill, err := memtable.NewFilePager(filepath.Join(cfg.SpillDir, "soak-spill"))
 	if err != nil {
 		return nil, err
 	}
 	defer spill.Close()
-	rs := oocmine.NewResilientStore(client, spill)
-	rs.SetLogger(logf)
+	pager := &memtable.FallbackPager{Primary: tp, Secondary: spill}
+	p := transport.NewRealProc()
 
 	rep := &SoakReport{FinalCounts: make(map[string]int64), Ops: cfg.Ops}
 	model := make(map[string]int64)
@@ -171,11 +181,11 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		// One line lifecycle. The workload draws are made unconditionally,
 		// so the rng stream — and with it the model — is identical however
 		// the faults land.
-		line := int32(op)
-		entries := make([]rmtp.Entry, cfg.KeysPerLine)
+		line := op
+		entries := make([]memtable.Entry, cfg.KeysPerLine)
 		for j := range entries {
 			key := fmt.Sprintf("L%d/k%d", line, j)
-			entries[j] = rmtp.Entry{Key: key, Count: int32(rng.Intn(5))}
+			entries[j] = memtable.Entry{Key: key, Count: int32(rng.Intn(5))}
 			model[key] = int64(entries[j].Count)
 		}
 		updates := rng.Intn(cfg.MaxUpdates + 1)
@@ -185,12 +195,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			model[targets[u]]++
 		}
 
-		if err := rs.Store(line, entries); err != nil {
+		loc, err := pager.StoreOut(p, line, entries)
+		if err != nil {
 			firstErr = fmt.Errorf("op %d: store: %w", op, err)
 			break
 		}
 		for _, key := range targets {
-			if err := rs.Update(line, key); err != nil {
+			if err := pager.Update(p, line, loc, key); err != nil {
 				firstErr = fmt.Errorf("op %d: update: %w", op, err)
 				break
 			}
@@ -198,7 +209,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if firstErr != nil {
 			break
 		}
-		got, err := rs.Fetch(line)
+		got, err := pager.FetchIn(p, line, loc)
 		if err != nil {
 			firstErr = fmt.Errorf("op %d: fetch: %w", op, err)
 			break
@@ -208,15 +219,16 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		}
 	}
 
-	rep.Resilient = rs.Stats()
-	rep.Client = client.Metrics()
+	rep.Pager = tp.Stats()
+	rep.FallbackStores = pager.FallbackStores()
+	rep.Client = tp.ClientMetrics()
 	rep.Proxy = proxy.Stats()
 	if srv := handle.Server(); srv != nil {
 		rep.Server = srv.Metrics()
 	}
 
 	// Teardown, then leak checks: everything the soak started must be gone.
-	client.Close()
+	tp.Close()
 	proxy.Close()
 	handle.Close()
 	spill.Close()

@@ -37,12 +37,12 @@ func TestSoakFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resilient.VerifiedFetches != uint64(rep.Ops) {
+	if rep.Pager.VerifiedFetches != uint64(rep.Ops) {
 		t.Errorf("VerifiedFetches = %d, want %d (every fetch verified)",
-			rep.Resilient.VerifiedFetches, rep.Ops)
+			rep.Pager.VerifiedFetches, rep.Ops)
 	}
-	if rep.Resilient.Taints != 0 || rep.Resilient.Recoveries != 0 || rep.Resilient.Failovers != 0 {
-		t.Errorf("fault-free run degraded: %+v", rep.Resilient)
+	if rep.Pager.Taints != 0 || rep.Pager.Recoveries != 0 || rep.FallbackStores != 0 {
+		t.Errorf("fault-free run degraded: %+v, %d fallback stores", rep.Pager, rep.FallbackStores)
 	}
 	if len(rep.FinalCounts) == 0 {
 		t.Fatal("empty end-state")
@@ -79,8 +79,8 @@ func TestSoakChaosMatchesFaultFree(t *testing.T) {
 		t.Errorf("applied %d steps, want %d", chaotic.StepsApplied, len(soakSchedule()))
 	}
 	// The schedule must actually have hurt: degraded-mode machinery fired.
-	deg := chaotic.Resilient
-	if deg.Taints+deg.Recoveries+deg.Failovers == 0 {
+	deg := chaotic.Pager
+	if deg.Taints+deg.Recoveries+chaotic.FallbackStores == 0 {
 		t.Errorf("no degraded-mode activity under the fault schedule: %+v", deg)
 	}
 	if chaotic.Proxy.Cuts == 0 {
@@ -95,8 +95,8 @@ func TestSoakChaosMatchesFaultFree(t *testing.T) {
 	if n := len(rec.Events()); n != len(soakSchedule()) {
 		t.Errorf("traced %d chaos events, want %d", n, len(soakSchedule()))
 	}
-	t.Logf("chaos soak: %d ops in %v; resilient %+v; proxy %+v",
-		chaotic.Ops, chaotic.Elapsed, deg, chaotic.Proxy)
+	t.Logf("chaos soak: %d ops in %v; pager %+v; %d fallback stores; proxy %+v",
+		chaotic.Ops, chaotic.Elapsed, deg, chaotic.FallbackStores, chaotic.Proxy)
 }
 
 // TestSoakRandomSchedule: a randomized (but seeded) schedule holds the same
@@ -130,7 +130,7 @@ func TestSoakOverloadedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resilient.Failovers == 0 {
-		t.Errorf("no capacity failovers against a tiny server: %+v", rep.Resilient)
+	if rep.FallbackStores == 0 {
+		t.Errorf("no capacity failovers against a tiny server: %+v", rep.Pager)
 	}
 }

@@ -11,6 +11,9 @@ import (
 )
 
 // tiny is small enough that even the 25-run Fig. 3 sweep stays test-sized.
+// Every test in the package calls t.Parallel: each sweep is a
+// single-threaded simulation sharing no state with the others, and run one
+// after another they sit at go test's 10-minute default timeout.
 var tiny = Options{Scale: 0.002, Seed: 1}
 
 func cell(t *testing.T, tblRow []string, i int) float64 {
@@ -23,6 +26,7 @@ func cell(t *testing.T, tblRow []string, i int) float64 {
 }
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	want := []string{"table2", "table3", "fig3", "table4", "fig4", "fig5"}
 	seen := map[string]bool{}
 	for _, e := range Registry() {
@@ -48,6 +52,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestCalibrate(t *testing.T) {
+	t.Parallel()
 	c := Calibrate(tiny)
 	if c.L1 == 0 || c.TotalC2 == 0 || len(c.PerNode) != 8 {
 		t.Fatalf("calibration = %+v", c)
@@ -74,6 +79,7 @@ func TestCalibrate(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
+	t.Parallel()
 	rep, err := Table2(tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +100,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3SumsAndBalance(t *testing.T) {
+	t.Parallel()
 	rep, err := Table3(tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +119,7 @@ func TestTable3SumsAndBalance(t *testing.T) {
 }
 
 func TestFig4OrderingHolds(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -132,6 +140,7 @@ func TestFig4OrderingHolds(t *testing.T) {
 }
 
 func TestFig3MonotoneInMemNodes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -171,6 +180,7 @@ func TestFig3MonotoneInMemNodes(t *testing.T) {
 }
 
 func TestTable4FaultCostRegime(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -193,6 +203,7 @@ func TestTable4FaultCostRegime(t *testing.T) {
 }
 
 func TestFig5MigrationNearNegligible(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -210,6 +221,7 @@ func TestFig5MigrationNearNegligible(t *testing.T) {
 }
 
 func TestMonitorSweepShortIntervalDegrades(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -225,6 +237,7 @@ func TestMonitorSweepShortIntervalDegrades(t *testing.T) {
 }
 
 func TestDiskProfilesOrdering(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -243,6 +256,7 @@ func TestDiskProfilesOrdering(t *testing.T) {
 }
 
 func TestBlockSizeSweepRuns(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -256,6 +270,7 @@ func TestBlockSizeSweepRuns(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
+	t.Parallel()
 	rep, err := Table3(tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +284,7 @@ func TestReportString(t *testing.T) {
 }
 
 func TestHashSkewShowsImbalance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -294,6 +310,7 @@ func TestHashSkewShowsImbalance(t *testing.T) {
 }
 
 func TestEvictionSweepRuns(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -307,6 +324,7 @@ func TestEvictionSweepRuns(t *testing.T) {
 }
 
 func TestSpeedupMonotone(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -326,6 +344,7 @@ func TestSpeedupMonotone(t *testing.T) {
 }
 
 func TestCrashRecoveryShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run scenario")
 	}
@@ -346,6 +365,7 @@ func TestCrashRecoveryShape(t *testing.T) {
 }
 
 func TestTimeSeriesWritesTraces(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run scenario")
 	}

@@ -11,6 +11,7 @@ import (
 // experiment itself fails hard on any divergence, so the test mostly
 // asserts it completes and that every audit row reports a match.
 func TestFidelityLevelA(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("live TCP fidelity audit is slow; skipped in -short")
 	}

@@ -164,12 +164,18 @@ func encodeEntries(entries []Entry) []byte {
 	return buf
 }
 
+// decodeEntries is the inverse of encodeEntries. Every entry takes at least
+// 8 bytes, so a count the remaining bytes cannot hold is rejected before it
+// sizes an allocation.
 func decodeEntries(buf []byte) ([]Entry, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("memtable: spill record truncated")
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
+	if n > len(buf)/8 {
+		return nil, fmt.Errorf("memtable: spill record claims %d entries in %d bytes", n, len(buf))
+	}
 	entries := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
 		if len(buf) < 4 {

@@ -1,31 +1,22 @@
 // Package oocmine is the paper's mechanism running for real: an out-of-core
 // Apriori miner whose candidate hash table lives under a hard local-memory
-// budget and spills hash lines to remote-memory servers over TCP (package
-// rmtp) — or to a local spill store — using exactly the paper's two
-// policies: simple swapping (fault lines back on access, §4.3) and remote
-// update (pin lines remotely and stream one-way count increments, §4.4).
+// budget and swaps hash lines out through a memtable.Pager, using exactly
+// the paper's two policies: simple swapping (fault lines back on access,
+// §4.3) and remote update (pin lines remotely and stream one-way count
+// increments, §4.4).
 //
 // Unlike the simulated cluster (internal/core), which reproduces the
 // paper's *timing* behaviour, this package is a live library a user can
 // point at real rmtp servers to mine datasets whose candidate population
 // exceeds local memory.
 //
-// Key pieces:
-//
-//   - Mine(txns, Config): the out-of-core pass loop; returns the standard
-//     apriori.Result (cross-checked against sequential Apriori in tests)
-//     plus spill Stats.
-//   - Config: the memory budget, Policy (SimpleSwap or RemoteUpdate), and
-//     the Store backends to spill to.
-//   - Store: the minimal spill interface; DialStores connects a set of
-//     rmtp servers, and FileStore (filestore.go) is the local-disk
-//     fallback so the miner works with no servers at all.
-//   - ResilientStore (resilient.go): wraps a remote store with the
-//     simulated cluster's survival tricks, ported to real TCP — a private
-//     shadow copy of every spilled line (mirroring one-way remote updates),
-//     failover to a fallback Store when the server NACKs capacity or the
-//     client's circuit breaker is open, and connection-epoch verification
-//     that decides whether a fetched copy can be trusted over the shadow.
-//     Mining through it under injected faults (package chaos) produces
-//     byte-identical results to a fault-free run.
+// Mine(txns, Config) is a thin pass loop: each pass builds a memtable.Table
+// of the candidates, probes every transaction's k-subsets into it, and
+// collects the counts, returning the standard apriori.Result (cross-checked
+// against sequential Apriori in tests) plus the summed memtable.Stats. The
+// table and the pagers are the ones the TCP fleet runs: the caller passes a
+// remotemem.TCPPager for rmtp servers (acked stores, shadow copies,
+// connection-epoch-verified fetches), a memtable.FilePager for a local spill
+// file, or a memtable.FallbackPager chaining the two. The root package's
+// MineOutOfCore builds that pager from an OOCConfig.
 package oocmine

@@ -2,265 +2,44 @@ package oocmine
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/apriori"
 	"repro/internal/itemset"
-	"repro/internal/rmtp"
+	"repro/internal/memtable"
+	"repro/internal/transport"
 )
-
-// Store is where spilled hash lines live. rmtp.Client implements it, so any
-// remote-memory server is a Store; FileStore spills to a local file.
-type Store interface {
-	Store(line int32, entries []rmtp.Entry) error
-	Fetch(line int32) ([]rmtp.Entry, error)
-	Update(line int32, key string) error
-}
-
-// Policy mirrors the paper's two swapped-line access disciplines.
-type Policy int
-
-const (
-	// SimpleSwap faults swapped-out lines back in on access.
-	SimpleSwap Policy = iota
-	// RemoteUpdate pins swapped-out lines and sends one-way updates.
-	RemoteUpdate
-)
-
-func (p Policy) String() string {
-	if p == RemoteUpdate {
-		return "remote-update"
-	}
-	return "simple-swapping"
-}
-
-// entryBudgetBytes is the per-candidate memory accounting (the paper's 24 B).
-const entryBudgetBytes = 24
 
 // Config parameterizes a mining run.
 type Config struct {
 	MinSupport float64
 	// LimitBytes is the local candidate-memory budget; 0 disables spilling.
 	LimitBytes int64
-	Policy     Policy
+	Policy     memtable.Policy
 	// Lines is the hash-line count (default 4096).
 	Lines int
-	// Stores are the remote-memory providers; lines rotate across them.
-	// Required when LimitBytes > 0.
-	Stores []Store
+	// Pager receives spilled hash lines. Required when LimitBytes > 0.
+	Pager memtable.Pager
 	// MaxPasses caps passes (0 = to completion).
 	MaxPasses int
 }
 
-// Stats reports the swapping activity of a run.
-type Stats struct {
-	Evictions     uint64
-	Faults        uint64
-	RemoteUpdates uint64
-	PeakResident  int64
-	SpilledPasses int
-}
-
-type ooLine struct {
-	entries  []rmtp.Entry
-	resident bool
-	store    int // index into cfg.Stores when !resident
-	bytes    int64
-	// LRU links.
-	prev, next int32
-	inList     bool
-}
-
-// table is the budgeted hash table of one pass.
-type table struct {
-	cfg        *Config
-	lines      []ooLine
-	residentB  int64
-	head, tail int32
-	nextStore  int
-	stats      *Stats
-}
-
-func newTable(cfg *Config, n int, stats *Stats) *table {
-	t := &table{cfg: cfg, lines: make([]ooLine, n), head: -1, tail: -1, stats: stats}
-	for i := range t.lines {
-		t.lines[i].prev, t.lines[i].next = -1, -1
-	}
-	return t
-}
-
-func (t *table) listRemove(i int32) {
-	l := &t.lines[i]
-	if !l.inList {
-		return
-	}
-	if l.prev >= 0 {
-		t.lines[l.prev].next = l.next
-	} else {
-		t.head = l.next
-	}
-	if l.next >= 0 {
-		t.lines[l.next].prev = l.prev
-	} else {
-		t.tail = l.prev
-	}
-	l.prev, l.next, l.inList = -1, -1, false
-}
-
-func (t *table) listPushFront(i int32) {
-	l := &t.lines[i]
-	l.prev, l.next = -1, t.head
-	if t.head >= 0 {
-		t.lines[t.head].prev = i
-	}
-	t.head = i
-	if t.tail < 0 {
-		t.tail = i
-	}
-	l.inList = true
-}
-
-func (t *table) touch(i int32) {
-	if t.lines[i].inList && t.head == i {
-		return
-	}
-	t.listRemove(i)
-	t.listPushFront(i)
-}
-
-func (t *table) evictUntil(incoming int64, protect int32) error {
-	if t.cfg.LimitBytes == 0 {
-		return nil
-	}
-	for t.residentB+incoming > t.cfg.LimitBytes {
-		victim := t.tail
-		if victim < 0 {
-			return nil
-		}
-		if victim == protect {
-			victim = t.lines[victim].prev
-			if victim < 0 {
-				return nil
-			}
-		}
-		if err := t.evict(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *table) evict(i int32) error {
-	l := &t.lines[i]
-	store := t.nextStore % len(t.cfg.Stores)
-	t.nextStore++
-	if err := t.cfg.Stores[store].Store(i, l.entries); err != nil {
-		return fmt.Errorf("oocmine: spilling line %d: %w", i, err)
-	}
-	t.listRemove(i)
-	l.resident = false
-	l.store = store
-	l.entries = nil
-	t.residentB -= l.bytes
-	t.stats.Evictions++
-	return nil
-}
-
-func (t *table) fault(i int32) error {
-	l := &t.lines[i]
-	if err := t.evictUntil(l.bytes, i); err != nil {
-		return err
-	}
-	entries, err := t.cfg.Stores[l.store].Fetch(i)
-	if err != nil {
-		return fmt.Errorf("oocmine: faulting line %d: %w", i, err)
-	}
-	l.entries = entries
-	l.resident = true
-	l.bytes = int64(len(entries)) * entryBudgetBytes
-	t.residentB += l.bytes
-	t.listPushFront(i)
-	t.stats.Faults++
-	t.notePeak()
-	return nil
-}
-
-func (t *table) notePeak() {
-	if t.residentB > t.stats.PeakResident {
-		t.stats.PeakResident = t.residentB
-	}
-}
-
-// insert adds a candidate (build phase; always faults lines back).
-func (t *table) insert(i int32, key string) error {
-	l := &t.lines[i]
-	if !l.resident && l.bytes > 0 {
-		if err := t.fault(i); err != nil {
-			return err
-		}
-	}
-	l.resident = true
-	l.entries = append(l.entries, rmtp.Entry{Key: key})
-	l.bytes += entryBudgetBytes
-	t.residentB += entryBudgetBytes
-	t.touch(i)
-	t.notePeak()
-	return t.evictUntil(0, i)
-}
-
-// probe searches/increments key in line i under the configured policy.
-func (t *table) probe(i int32, key string) error {
-	l := &t.lines[i]
-	if !l.resident && l.bytes > 0 {
-		if t.cfg.Policy == RemoteUpdate {
-			t.stats.RemoteUpdates++
-			return t.cfg.Stores[l.store].Update(i, key)
-		}
-		if err := t.fault(i); err != nil {
-			return err
-		}
-	}
-	for j := range l.entries {
-		if l.entries[j].Key == key {
-			l.entries[j].Count++
-			break
-		}
-	}
-	t.touch(i)
-	return nil
-}
-
-// collect fetches every spilled line back and returns all entries.
-func (t *table) collect() ([]rmtp.Entry, error) {
-	var out []rmtp.Entry
-	for i := range t.lines {
-		l := &t.lines[i]
-		if !l.resident && l.bytes > 0 {
-			entries, err := t.cfg.Stores[l.store].Fetch(int32(i))
-			if err != nil {
-				return nil, fmt.Errorf("oocmine: collecting line %d: %w", i, err)
-			}
-			l.entries = entries
-			l.resident = true
-			t.stats.Faults++
-		}
-		out = append(out, l.entries...)
-	}
-	return out, nil
-}
-
-// Mine runs out-of-core Apriori over the transactions.
-func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, Stats, error) {
-	var stats Stats
+// Mine runs out-of-core Apriori over the transactions. Each pass from 2 on
+// builds a fresh memtable.Table of the candidates (line = itemset hash mod
+// Lines), counts every transaction's k-subsets into it, and collects the
+// counts back; the table swaps lines through cfg.Pager whenever the budget
+// is exceeded. The returned Stats sum every pass's table counters, except
+// PeakBytes, which is the largest resident footprint of any pass.
+func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, error) {
+	var stats memtable.Stats
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return nil, stats, errors.New("oocmine: MinSupport must be in (0,1]")
 	}
 	if len(txns) == 0 {
 		return nil, stats, errors.New("oocmine: no transactions")
 	}
-	if cfg.LimitBytes > 0 && len(cfg.Stores) == 0 {
-		return nil, stats, errors.New("oocmine: memory limit set but no stores configured")
+	if cfg.LimitBytes > 0 && cfg.Pager == nil {
+		return nil, stats, errors.New("oocmine: memory limit set but no pager configured")
 	}
 	if cfg.LimitBytes < 0 {
 		return nil, stats, errors.New("oocmine: negative memory limit")
@@ -295,6 +74,8 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, Stats, error) {
 	res.Large = append(res.Large, l1)
 	res.Passes = append(res.Passes, apriori.PassStats{K: 1, Candidates: len(counts), Large: len(l1)})
 
+	p := transport.NewRealProc()
+	lineOf := func(is itemset.Itemset) int { return int(is.Hash() % uint64(cfg.Lines)) }
 	prev := l1
 	for k := 2; ; k++ {
 		if cfg.MaxPasses != 0 && k > cfg.MaxPasses {
@@ -305,41 +86,39 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, Stats, error) {
 			res.Passes = append(res.Passes, apriori.PassStats{K: k})
 			break
 		}
-		tab := newTable(&cfg, cfg.Lines, &stats)
-		lineOf := func(h uint64) int32 { return int32(h % uint64(cfg.Lines)) }
+		tab, err := memtable.New(memtable.Config{
+			Lines:      cfg.Lines,
+			LimitBytes: cfg.LimitBytes,
+			Policy:     cfg.Policy,
+		}, cfg.Pager)
+		if err != nil {
+			return nil, stats, err
+		}
 		for _, c := range cands {
-			if err := tab.insert(lineOf(c.Hash()), c.Key()); err != nil {
+			if err := tab.Insert(p, lineOf(c), c.Key()); err != nil {
 				return nil, stats, err
 			}
 		}
-		spilled := false
 		for _, t := range txns {
-			var err error
 			itemset.Subsets(t, k, func(s itemset.Itemset) {
-				if err != nil {
-					return
+				if err == nil {
+					err = tab.Probe(p, lineOf(s), s.Key())
 				}
-				err = tab.probe(lineOf(s.Hash()), s.Key())
 			})
 			if err != nil {
 				return nil, stats, err
 			}
 		}
-		entries, err := tab.collect()
+		entries, err := tab.Collect(p)
 		if err != nil {
 			return nil, stats, err
 		}
-		if stats.Evictions > 0 {
-			spilled = true
-		}
-		if spilled {
-			stats.SpilledPasses++
-		}
+		addStats(&stats, tab.Stats())
+
 		var large []itemset.Itemset
 		for _, e := range entries {
 			if int(e.Count) >= minCount {
-				is := itemset.FromKey(e.Key)
-				large = append(large, is)
+				large = append(large, itemset.FromKey(e.Key))
 				res.Support[e.Key] = int(e.Count)
 			}
 		}
@@ -352,4 +131,16 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, Stats, error) {
 		prev = large
 	}
 	return res, stats, nil
+}
+
+// addStats folds one pass's table counters into the run total.
+func addStats(total *memtable.Stats, s memtable.Stats) {
+	total.Inserts += s.Inserts
+	total.Probes += s.Probes
+	total.Hits += s.Hits
+	total.Pagefaults += s.Pagefaults
+	total.Evictions += s.Evictions
+	total.Updates += s.Updates
+	total.FaultedTime += s.FaultedTime
+	total.PeakBytes = max(total.PeakBytes, s.PeakBytes)
 }

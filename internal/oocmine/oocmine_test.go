@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/apriori"
 	"repro/internal/itemset"
+	"repro/internal/memtable"
 	"repro/internal/quest"
+	"repro/internal/remotemem"
 	"repro/internal/rmtp"
 )
 
@@ -25,23 +27,55 @@ func workload(t *testing.T) ([]itemset.Itemset, *apriori.Result) {
 	return txns, want
 }
 
-func startServers(t *testing.T, n int) []Store {
+// startServers starts n rmtp servers lending capacity bytes each and returns
+// their addresses together with the servers themselves.
+func startServers(t *testing.T, n int, capacity int64) ([]string, []*rmtp.Server) {
 	t.Helper()
-	var stores []Store
+	var addrs []string
+	var srvs []*rmtp.Server
 	for i := 0; i < n; i++ {
-		srv := rmtp.NewServer(0)
+		srv := rmtp.NewServer(capacity)
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		cl, err := rmtp.Dial(srv.Addr(), "oocmine-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		stores = append(stores, cl)
+		addrs = append(addrs, srv.Addr())
+		srvs = append(srvs, srv)
 	}
-	return stores
+	return addrs, srvs
+}
+
+// tcpPager dials a TCPPager to the given servers, closed at test end.
+func tcpPager(t *testing.T, owner string, addrs []string) *remotemem.TCPPager {
+	t.Helper()
+	tp, err := remotemem.NewTCPPager(owner, addrs, rmtp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tp.Close() })
+	return tp
+}
+
+// filePager creates a spill file in the test's temp dir, removed at test end.
+func filePager(t *testing.T) *memtable.FilePager {
+	t.Helper()
+	fp, err := memtable.NewFilePager(filepath.Join(t.TempDir(), "spill.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fp.Close() })
+	return fp
+}
+
+// spilling is the heavy-swap configuration every spill test mines under.
+func spilling(policy memtable.Policy, pager memtable.Pager) Config {
+	return Config{
+		MinSupport: 0.02,
+		LimitBytes: 2 << 10, // tiny: heavy spilling
+		Policy:     policy,
+		Lines:      256,
+		Pager:      pager,
+	}
 }
 
 func TestUnlimitedMatchesApriori(t *testing.T) {
@@ -53,133 +87,113 @@ func TestUnlimitedMatchesApriori(t *testing.T) {
 	if ok, why := apriori.SameLarge(got, want); !ok {
 		t.Fatalf("unlimited oocmine differs: %s", why)
 	}
-	if stats.Evictions != 0 || stats.Faults != 0 {
+	if stats.Evictions != 0 || stats.Pagefaults != 0 {
 		t.Errorf("unlimited run swapped: %+v", stats)
 	}
 }
 
 func TestSpillOverTCPSimpleSwap(t *testing.T) {
 	txns, want := workload(t)
-	stores := startServers(t, 2)
-	got, stats, err := Mine(txns, Config{
-		MinSupport: 0.02,
-		LimitBytes: 2 << 10, // tiny: heavy spilling
-		Policy:     SimpleSwap,
-		Lines:      256,
-		Stores:     stores,
-	})
+	addrs, _ := startServers(t, 2, 0)
+	got, stats, err := Mine(txns, spilling(memtable.SimpleSwap, tcpPager(t, "oocmine-test", addrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := apriori.SameLarge(got, want); !ok {
 		t.Fatalf("TCP simple-swap differs: %s", why)
 	}
-	if stats.Evictions == 0 || stats.Faults == 0 {
+	if stats.Evictions == 0 || stats.Pagefaults == 0 {
 		t.Errorf("no swapping exercised: %+v", stats)
 	}
-	if stats.PeakResident > 3<<10 {
-		t.Errorf("peak resident %d far above budget", stats.PeakResident)
+	if stats.PeakBytes > 3<<10 {
+		t.Errorf("peak resident %d far above budget", stats.PeakBytes)
 	}
 }
 
 func TestSpillOverTCPRemoteUpdate(t *testing.T) {
 	txns, want := workload(t)
-	stores := startServers(t, 3)
-	got, stats, err := Mine(txns, Config{
-		MinSupport: 0.02,
-		LimitBytes: 2 << 10,
-		Policy:     RemoteUpdate,
-		Lines:      256,
-		Stores:     stores,
-	})
+	addrs, _ := startServers(t, 3, 0)
+	got, stats, err := Mine(txns, spilling(memtable.RemoteUpdate, tcpPager(t, "oocmine-test", addrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := apriori.SameLarge(got, want); !ok {
 		t.Fatalf("TCP remote-update differs: %s", why)
 	}
-	if stats.RemoteUpdates == 0 {
+	if stats.Updates == 0 {
 		t.Errorf("no remote updates sent: %+v", stats)
 	}
 }
 
 func TestSpillToFile(t *testing.T) {
 	txns, want := workload(t)
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "spill.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	got, stats, err := Mine(txns, Config{
-		MinSupport: 0.02,
-		LimitBytes: 2 << 10,
-		Policy:     SimpleSwap,
-		Lines:      256,
-		Stores:     []Store{fs},
-	})
+	fp := filePager(t)
+	got, _, err := Mine(txns, spilling(memtable.SimpleSwap, fp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := apriori.SameLarge(got, want); !ok {
 		t.Fatalf("file spill differs: %s", why)
 	}
-	s, f, _ := fs.Stats()
-	if s == 0 || f == 0 {
-		t.Errorf("file store unused: stores=%d fetches=%d", s, f)
+	if st := fp.Stats(); st.Stores == 0 || st.Fetches == 0 {
+		t.Errorf("spill file unused: %+v", st)
 	}
-	_ = stats
 }
 
-func TestFileStoreRemoteUpdate(t *testing.T) {
+func TestSpillToFileRemoteUpdate(t *testing.T) {
 	txns, want := workload(t)
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "spill.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	got, _, err := Mine(txns, Config{
-		MinSupport: 0.02,
-		LimitBytes: 2 << 10,
-		Policy:     RemoteUpdate,
-		Lines:      256,
-		Stores:     []Store{fs},
-	})
+	fp := filePager(t)
+	got, _, err := Mine(txns, spilling(memtable.RemoteUpdate, fp))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := apriori.SameLarge(got, want); !ok {
 		t.Fatalf("file remote-update differs: %s", why)
 	}
+	if st := fp.Stats(); st.Updates == 0 {
+		t.Errorf("no in-file updates: %+v", st)
+	}
 }
 
 func TestStoresRotate(t *testing.T) {
-	txns, _ := workload(t)
-	srvA := rmtp.NewServer(0)
-	srvB := rmtp.NewServer(0)
-	for _, s := range []*rmtp.Server{srvA, srvB} {
-		if err := s.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-	}
-	stores, closeAll, err := DialStores("rot", []string{srvA.Addr(), srvB.Addr()})
+	txns, want := workload(t)
+	addrs, srvs := startServers(t, 2, 0)
+	got, _, err := Mine(txns, spilling(memtable.SimpleSwap, tcpPager(t, "rot", addrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeAll()
-	if _, _, err := Mine(txns, Config{
-		MinSupport: 0.02,
-		LimitBytes: 2 << 10,
-		Policy:     SimpleSwap,
-		Lines:      256,
-		Stores:     stores,
-	}); err != nil {
-		t.Fatal(err)
+	if ok, why := apriori.SameLarge(got, want); !ok {
+		t.Fatalf("rotated spill differs: %s", why)
 	}
-	aStores, _, _, _ := srvA.Stats()
-	bStores, _, _, _ := srvB.Stats()
+	aStores, _, _, _ := srvs[0].Stats()
+	bStores, _, _, _ := srvs[1].Stats()
 	if aStores == 0 || bStores == 0 {
 		t.Errorf("spill not rotated: A=%d B=%d", aStores, bStores)
+	}
+}
+
+// TestResilientMineEndToEnd: mining through the fleet's resilient stack — a
+// TCPPager (acked stores, shadow copies, verified fetches) in front of a
+// spill file — matches in-core mining even when a tiny server keeps
+// diverting lines to disk via capacity NACKs.
+func TestResilientMineEndToEnd(t *testing.T) {
+	txns, want := workload(t)
+	addrs, _ := startServers(t, 1, 16*memtable.EntryMemBytes)
+	tp := tcpPager(t, "miner", addrs)
+	fb := &memtable.FallbackPager{Primary: tp, Secondary: filePager(t)}
+
+	got, _, err := Mine(txns, spilling(memtable.RemoteUpdate, fb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := apriori.SameLarge(got, want); !ok {
+		t.Fatalf("resilient mining differs: %s", why)
+	}
+	if st := tp.Stats(); st.Mismatches != 0 {
+		t.Errorf("Mismatches = %d, want 0", st.Mismatches)
+	}
+	if fb.FallbackStores() == 0 {
+		t.Error("expected capacity failovers against a 16-entry server")
 	}
 }
 
@@ -192,20 +206,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("no transactions accepted")
 	}
 	if _, _, err := Mine(txns, Config{MinSupport: 0.1, LimitBytes: 100}); err == nil {
-		t.Error("limit without stores accepted")
+		t.Error("limit without pager accepted")
 	}
 	if _, _, err := Mine(txns, Config{MinSupport: 0.1, LimitBytes: -1}); err == nil {
 		t.Error("negative limit accepted")
-	}
-}
-
-func TestDialStoresFailureCleansUp(t *testing.T) {
-	srv := rmtp.NewServer(0)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, _, err := DialStores("x", []string{srv.Addr(), "127.0.0.1:1"}); err == nil {
-		t.Error("unreachable store accepted")
 	}
 }

@@ -39,9 +39,10 @@ type tcpLine struct {
 
 // TCPPager implements memtable.Pager against a fleet of real rmserverd
 // processes over rmtp — the TCP backend's counterpart of the simulated
-// Client+Store pair. It carries the same resilience semantics the simulated
-// client models and oocmine.ResilientStore proved out on one connection,
-// generalized to a fleet:
+// Client+Store pair, and the one remote pager of the live stack: the TCP
+// fleet (core.RunTCP), the out-of-core miner (oocmine, via MineOutOfCore)
+// and the chaos soak all swap through it. It carries the resilience
+// semantics the simulated client models:
 //
 //   - Store-outs rotate round-robin across the fleet and are acked
 //     (StoreAck); a refusal — capacity NACK, open breaker, dead server —
@@ -54,8 +55,11 @@ type tcpLine struct {
 //     landed); an epoch change taints the line and the shadow wins; a failed
 //     fetch falls back to the shadow outright.
 //
-// Unlike the simulated Client, no virtual time is charged: operations take
-// the real network's time. Location.Node is the server's fleet index.
+// Shadows are local memory held outside the table's LimitBytes budget, and
+// only lines this pager stored can be updated or fetched: an unknown line is
+// an error. Unlike the simulated Client, no virtual time is charged:
+// operations take the real network's time. Location.Node is the server's
+// fleet index.
 type TCPPager struct {
 	mu      sync.Mutex
 	owner   string
@@ -134,6 +138,32 @@ func (tp *TCPPager) Stats() TCPPagerStats {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	return tp.stats
+}
+
+// ClientMetrics returns the transport counters of the pager's rmtp clients
+// summed over the fleet, with their latency histograms merged.
+func (tp *TCPPager) ClientMetrics() rmtp.Metrics {
+	var sum rmtp.Metrics
+	for _, cl := range tp.clients {
+		m := cl.Metrics()
+		sum.Ops += m.Ops
+		sum.OneWay += m.OneWay
+		sum.UpdateBatches += m.UpdateBatches
+		sum.BatchedUpdates += m.BatchedUpdates
+		sum.Calls += m.Calls
+		sum.Retries += m.Retries
+		sum.Connects += m.Connects
+		sum.Errors += m.Errors
+		sum.BreakerTrips += m.BreakerTrips
+		sum.BreakerFastFails += m.BreakerFastFails
+		sum.BudgetDenied += m.BudgetDenied
+		sum.ReleaseFailures += m.ReleaseFailures
+		sum.PressureSignals += m.PressureSignals
+		sum.BytesSent += m.BytesSent
+		sum.BytesRecv += m.BytesRecv
+		sum.Latency.Merge(m.Latency)
+	}
+	return sum
 }
 
 // Servers returns the fleet size.

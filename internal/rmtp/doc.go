@@ -4,8 +4,8 @@
 // one-way update, migrate lines to another server, and query occupancy.
 // It demonstrates that the paper's application-level remote-memory
 // interface (§4.2) is directly implementable over commodity sockets; the
-// examples and tests run it over loopback, and internal/oocmine mines real
-// datasets against it.
+// examples and tests run it over loopback, and remotemem.TCPPager swaps the
+// hash lines of the TCP fleet and of internal/oocmine through it.
 //
 // Framing: every message is
 //

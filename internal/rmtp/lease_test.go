@@ -124,33 +124,33 @@ func TestMigrationSkipsLeasedLines(t *testing.T) {
 	}
 }
 
-// TestLegacyFetchStillDestructive: OpFetch keeps its original
-// serve-and-release semantics for wire compatibility.
-func TestLegacyFetchStillDestructive(t *testing.T) {
+// TestLegacyFetchOpDropsConnection: op 3, the retired destructive fetch, is
+// an unknown op. The server drops the connection that sent it without
+// serving or deleting anything, and the line still fetches through a normal
+// client.
+func TestLegacyFetchOpDropsConnection(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "app0")
-	if err := c.StoreAck(1, entriesN(2)); err != nil {
+	want := entriesN(2)
+	if err := c.StoreAck(1, want); err != nil {
 		t.Fatal(err)
 	}
 	conn := rawSession(t, s.Addr(), "app0")
 	defer conn.Close()
-	if err := WriteFrame(conn, OpFetch, 1, nil); err != nil {
+	if err := WriteFrame(conn, Op(3), 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	op, _, payload, err := ReadFrame(conn)
-	if err != nil || op != OpOK {
-		t.Fatalf("legacy fetch: op=%d err=%v (%s)", op, err, payload)
+	if op, _, payload, err := ReadFrame(conn); err == nil {
+		t.Fatalf("op 3 was answered: op=%d (%s), want the connection dropped", op, payload)
 	}
-	if occ := s.Occupancy(); occ.Lines != 0 {
-		t.Errorf("legacy fetch left %d lines", occ.Lines)
+	if occ := s.Occupancy(); occ.Lines != 1 {
+		t.Errorf("op 3 left %d lines, want 1", occ.Lines)
 	}
-	// Waiting for the deadline-free reply above synchronized us with the
-	// server; the line is gone now.
-	if _, err := c.Fetch(1); err == nil {
-		t.Error("line survived a legacy fetch")
+	got, err := c.Fetch(1)
+	if err != nil {
+		t.Fatalf("fetch after op 3: %v", err)
 	}
-	// A release deadline in the past must not be needed: lease count stays 0.
-	if m := s.Metrics(); m.LeasedLines != 0 {
-		t.Errorf("legacy fetch leaked a lease: %d", m.LeasedLines)
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("fetched %v, stored %v", got, want)
 	}
 }

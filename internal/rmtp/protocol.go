@@ -12,9 +12,10 @@ type Op uint8
 
 // Protocol operations.
 const (
-	OpHello   Op = 1 // payload: owner name
-	OpStore   Op = 2 // payload: entries (one-way)
-	OpFetch   Op = 3 // payload: empty; reply OpOK entries or OpErr (destructive)
+	OpHello Op = 1 // payload: owner name
+	OpStore Op = 2 // payload: entries (one-way)
+	// Op 3 (a retired destructive fetch) stays unassigned so a frame from an
+	// old peer is still an unknown op that drops its connection.
 	OpUpdate  Op = 4 // payload: key (one-way)
 	OpMigrate Op = 5 // payload: dest address + line list; reply OpOK moved list
 	OpStat    Op = 6 // payload: empty; reply OpOK stats

@@ -49,9 +49,9 @@ type ServerOptions struct {
 
 // Server is a remote-memory store reachable over TCP. Lines are namespaced
 // by the owner name announced in OpHello; a fetch-hold serves the stored
-// copy and leases it until the owner's release deletes it (a legacy OpFetch
-// releases immediately), an update increments a key's count in place, and a
-// migrate pushes lines to another server and leaves a forwarding note.
+// copy and leases it until the owner's release deletes it, an update
+// increments a key's count in place, and a migrate pushes lines to another
+// server and leaves a forwarding note.
 type Server struct {
 	mu       sync.Mutex
 	lines    map[ownerLine][]Entry
@@ -435,26 +435,6 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 		}
 		s.mu.Unlock()
 		return s.reply(conn, OpOK, line, pressure)
-
-	case OpFetch:
-		// Legacy destructive read: serve and release in one step.
-		s.mu.Lock()
-		entries, ok := s.lines[key]
-		fwd, hasFwd := s.forward[key]
-		if ok {
-			delete(s.lines, key)
-			delete(s.leased, key)
-			s.used -= int64(len(entries)) * entryMemBytes
-			s.fetches++
-		}
-		s.mu.Unlock()
-		if !ok {
-			if hasFwd {
-				return s.reply(conn, OpErr, line, []byte("moved to "+fwd))
-			}
-			return s.reply(conn, OpErr, line, []byte("not held"))
-		}
-		return s.reply(conn, OpOK, line, EncodeEntries(entries))
 
 	case OpFetchHold:
 		// Lease-then-delete read: serve but keep the line until the owner's

@@ -5,7 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/itemset"
+	"repro/internal/memtable"
 	"repro/internal/oocmine"
+	"repro/internal/remotemem"
 	"repro/internal/rmtp"
 	"repro/internal/rules"
 )
@@ -60,24 +62,24 @@ func MineOutOfCore(cfg OOCConfig, transactions [][]int) (*Result, OOCStats, erro
 		Lines:      cfg.HashLines,
 	}
 	if cfg.Policy == RemoteUpdate {
-		mcfg.Policy = oocmine.RemoteUpdate
+		mcfg.Policy = memtable.RemoteUpdate
 	}
 	if cfg.LimitBytes > 0 {
 		switch {
 		case len(cfg.Servers) > 0:
-			stores, closeAll, err := oocmine.DialStores("repro-ooc", cfg.Servers)
+			tp, err := remotemem.NewTCPPager("repro-ooc", cfg.Servers, rmtp.Options{})
 			if err != nil {
 				return nil, stats, err
 			}
-			defer closeAll()
-			mcfg.Stores = stores
+			defer tp.Close()
+			mcfg.Pager = tp
 		case cfg.SpillFile != "":
-			fs, err := oocmine.NewFileStore(cfg.SpillFile)
+			fp, err := memtable.NewFilePager(cfg.SpillFile)
 			if err != nil {
 				return nil, stats, err
 			}
-			defer fs.Close()
-			mcfg.Stores = []oocmine.Store{fs}
+			defer fp.Close()
+			mcfg.Pager = fp
 		default:
 			return nil, stats, errors.New("repro: LimitBytes set but no Servers or SpillFile")
 		}
@@ -89,9 +91,9 @@ func MineOutOfCore(cfg OOCConfig, transactions [][]int) (*Result, OOCStats, erro
 	}
 	stats = OOCStats{
 		Evictions:     mstats.Evictions,
-		Faults:        mstats.Faults,
-		RemoteUpdates: mstats.RemoteUpdates,
-		PeakResident:  mstats.PeakResident,
+		Faults:        mstats.Pagefaults,
+		RemoteUpdates: mstats.Updates,
+		PeakResident:  mstats.PeakBytes,
 	}
 
 	out := &Result{
