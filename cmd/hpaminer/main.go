@@ -70,7 +70,6 @@ func main() {
 		spillDir  = flag.String("spill-dir", "", "tcp: arm a local-disk fallback tier for store-outs the fleet refuses")
 		chaosKill = flag.String("chaos-kill", "", "tcp fault injection: node=K:point:N kills child K's process at the N-th hit of the named killpoint")
 		resumeGen = flag.Int("tcp-resume-gen", 0, "internal: recovery generation of a respawned miner process")
-		updBatch  = flag.Int("update-batch", 0, "tcp: coalesce up to N one-way count updates per server into one frame (0/1 = one frame per update)")
 	)
 	flag.Parse()
 
@@ -87,7 +86,7 @@ func main() {
 			node: *tcpNode, coord: *tcpCoord,
 			supervise: *supervise, ckptDir: *ckptDir, restartLimit: *restartLm,
 			heartbeat: *heartbeat, spillDir: *spillDir, chaosKill: *chaosKill,
-			resumeGen: *resumeGen, updateBatch: *updBatch})
+			resumeGen: *resumeGen})
 	default:
 		log.Fatalf("unknown transport %q (want sim or tcp)", *transport)
 	}
@@ -210,7 +209,6 @@ type tcpArgs struct {
 	spillDir     string
 	chaosKill    string
 	resumeGen    int
-	updateBatch  int
 }
 
 // workload regenerates the transaction set from the shared flags — every
@@ -266,7 +264,6 @@ func (a tcpArgs) config() core.TCPConfig {
 		cfg.ResumeGen = a.resumeGen
 	}
 	cfg.SpillDir = a.spillDir
-	cfg.UpdateBatch = a.updateBatch
 	return cfg
 }
 
@@ -297,9 +294,6 @@ func (a tcpArgs) childArgs(node int, meshAddr string, servers []string, extra ..
 	}
 	if a.spillDir != "" {
 		args = append(args, "-spill-dir="+a.spillDir)
-	}
-	if a.updateBatch > 1 {
-		args = append(args, fmt.Sprintf("-update-batch=%d", a.updateBatch))
 	}
 	return append(args, extra...)
 }

@@ -33,10 +33,10 @@ func TestDebugEndpointsOverLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Store(3, []rmtp.Entry{{Key: "ab", Count: 1}}); err != nil {
+	if err := c.StoreAck(3, []rmtp.Entry{{Key: "ab", Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(3, "ab"); err != nil {
+	if err := c.UpdateBatch([]rmtp.UpdateItem{{Line: 3, Key: "ab"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Fetch(3); err != nil {
@@ -182,7 +182,7 @@ func TestDebugVarsUnderConcurrentTraffic(t *testing.T) {
 					errs <- fmt.Errorf("worker %d store: %w", w, err)
 					return
 				}
-				if err := c.Update(line, "k"); err != nil {
+				if err := c.UpdateBatch([]rmtp.UpdateItem{{Line: line, Key: "k"}}); err != nil {
 					errs <- fmt.Errorf("worker %d update: %w", w, err)
 					return
 				}

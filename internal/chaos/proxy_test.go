@@ -49,7 +49,7 @@ func TestProxyTransparentRelay(t *testing.T) {
 	if err := c.StoreAck(3, entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(3, "a"); err != nil {
+	if err := c.UpdateBatch([]rmtp.UpdateItem{{Line: 3, Key: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Fetch(3)

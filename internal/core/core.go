@@ -107,14 +107,6 @@ type Config struct {
 	FetchRetries int
 	RetryBackoff sim.Duration
 	RecoverCPU   sim.Duration
-	// UpdateBatch coalesces one-way remote count updates: up to UpdateBatch
-	// increments bound for the same store are queued and shipped as one
-	// batch frame. 0 or 1 keeps one message per update (the seed's wire
-	// behavior and the paper's Table-4 calibration). UpdateFlushAge bounds
-	// how long a partial batch may sit queued (0 = flush on count alone);
-	// see remotemem.Client for the full flush-trigger set.
-	UpdateBatch    int
-	UpdateFlushAge sim.Duration
 	// DiskFallback chains a local swap disk behind the remote-memory pager,
 	// so store-outs that no live memory node can absorb degrade to disk
 	// instead of failing the run. Requires the remote backend and the
@@ -204,9 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.DeadAfter < 0 || c.FetchTimeout < 0 || c.FetchRetries < 0 || c.RetryBackoff < 0 || c.RecoverCPU < 0 {
 		return errors.New("core: negative fault-tolerance knob")
-	}
-	if c.UpdateBatch < 0 || c.UpdateFlushAge < 0 {
-		return errors.New("core: negative update-batch knob")
 	}
 	return c.Net.Validate()
 }
@@ -329,8 +318,6 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 				cl.FetchRetries = cfg.FetchRetries
 				cl.RetryBackoff = cfg.RetryBackoff
 				cl.RecoverCPU = cfg.RecoverCPU
-				cl.UpdateBatch = cfg.UpdateBatch
-				cl.UpdateFlushAge = cfg.UpdateFlushAge
 				cl.Rec = cfg.Trace
 				for _, st := range stores {
 					cl.Seed(st.Node(), st.FreeBytes())

@@ -53,13 +53,6 @@ type TCPConfig struct {
 	// ClientOptions tune the rmtp clients (timeouts, retries, breaker).
 	ClientOptions rmtp.Options
 
-	// UpdateBatch coalesces one-way remote count updates into OpUpdateBatch
-	// frames of up to this many increments per server (0 or 1 = one OpUpdate
-	// frame per increment). UpdateFlushAge bounds how long a partial batch
-	// may wait (0 = flush on count alone); see TCPPager.SetUpdateBatch.
-	UpdateBatch    int
-	UpdateFlushAge time.Duration
-
 	// OnReady, when set, is called with the mesh rendezvous address once
 	// node 0's listener is bound (so a parent can spawn the other processes).
 	OnReady func(meshAddr string)
@@ -192,9 +185,6 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 4096
 	}
-	if cfg.UpdateBatch < 0 || cfg.UpdateFlushAge < 0 {
-		return nil, errors.New("core: negative update-batch knob")
-	}
 	if cfg.ResumeGen > 0 && (cfg.Node < 1 || cfg.Heartbeat <= 0 || cfg.CheckpointDir == "") {
 		return nil, errors.New("core: resuming needs a node > 0, liveness (Heartbeat), and a checkpoint dir")
 	}
@@ -319,7 +309,6 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 				return nil, err
 			}
 			defer tp.Close()
-			tp.SetUpdateBatch(cfg.UpdateBatch, cfg.UpdateFlushAge)
 			tcpPagers[id] = tp
 			pagers[id] = tp
 			if cfg.SpillDir != "" {

@@ -15,9 +15,9 @@
 // loop is cache-friendly even at paper-scale C2 while the pager boundary
 // still sees the plain []memtable.Entry representation, byte-identical to
 // the legacy layout. Under the remote-update policy, increments to
-// pinned-remote lines leave the node as one-way update messages,
-// coalescible into per-destination batch frames (core.Config.UpdateBatch
-// on the simulator, core.TCPConfig.UpdateBatch over real TCP).
+// pinned-remote lines leave the node as one-way update messages: one per
+// increment on the simulator (the paper's message), coalesced into
+// per-server batch frames by remotemem.TCPPager over real TCP.
 //
 // Key types:
 //

@@ -139,11 +139,11 @@ func BenchPass2CountFlatUniform(b *testing.B) { pass2Setup(); benchPass2(b, &pas
 // BenchPass2CountHTreeUniform is the hash tree under uniform probes.
 func BenchPass2CountHTreeUniform(b *testing.B) { pass2Setup(); benchPass2(b, &pass2Uniform, false) }
 
-// benchRMTPUpdates fires 64 one-way count updates per iteration at a real
-// loopback server — either as 64 lone OpUpdate frames or one OpUpdateBatch
-// frame — then drains the connection with a request/reply fetch so every
-// send is actually serviced inside the timed region.
-func benchRMTPUpdates(b *testing.B, batch bool) {
+// BenchRMTPUpdateBatchLoopback fires one 64-item OpUpdateBatch frame per
+// iteration at a real loopback server, then drains the connection with a
+// request/reply fetch so every send is actually serviced inside the timed
+// region.
+func BenchRMTPUpdateBatchLoopback(b *testing.B) {
 	s := rmtp.NewServer(0)
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
@@ -161,22 +161,14 @@ func benchRMTPUpdates(b *testing.B, batch bool) {
 		entries[i] = rmtp.Entry{Key: key}
 		items[i] = rmtp.UpdateItem{Line: 0, Key: key}
 	}
-	if err := c.Store(0, entries); err != nil {
+	if err := c.StoreAck(0, entries); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if batch {
-			if err := c.UpdateBatch(items); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for _, it := range items {
-				if err := c.Update(it.Line, it.Key); err != nil {
-					b.Fatal(err)
-				}
-			}
+		if err := c.UpdateBatch(items); err != nil {
+			b.Fatal(err)
 		}
 	}
 	if _, err := c.Fetch(0); err != nil { // request/reply: drains the one-ways
@@ -185,9 +177,3 @@ func benchRMTPUpdates(b *testing.B, batch bool) {
 	b.StopTimer()
 	b.ReportMetric(64, "upd/op")
 }
-
-// BenchRMTPUpdateLoneLoopback is 64 lone OpUpdate frames per op.
-func BenchRMTPUpdateLoneLoopback(b *testing.B) { benchRMTPUpdates(b, false) }
-
-// BenchRMTPUpdateBatchLoopback is one 64-item OpUpdateBatch frame per op.
-func BenchRMTPUpdateBatchLoopback(b *testing.B) { benchRMTPUpdates(b, true) }

@@ -98,22 +98,6 @@ type Client struct {
 	// from its shadow (modeling local recomputation of the candidates).
 	RecoverCPU sim.Duration
 
-	// UpdateBatch, when > 1, coalesces RemoteUpdate increments into
-	// per-destination UpdateBatchMsg frames of up to this many items instead
-	// of one UpdateMsg each. Pending items flush when the batch fills, when
-	// a pending item has aged past UpdateFlushAge (checked lazily on the next
-	// queued update — no timer process, so seeded runs stay deterministic),
-	// before any fetch from that destination (FIFO edges then apply the
-	// updates before the fetch is served), and when a migration drains the
-	// destination. Default 0 keeps the paper's one-message-per-update
-	// behavior — and with it the Table-4-calibrated virtual times and golden
-	// traces — unchanged.
-	UpdateBatch int
-	// UpdateFlushAge bounds how long a queued update may wait before the
-	// next update to the same destination forces a flush. Zero means only
-	// size, fetches, and migration drains trigger flushes.
-	UpdateFlushAge sim.Duration
-
 	// Logf, when set, receives diagnostics (dropped messages, declared-dead
 	// stores, recoveries).
 	Logf func(format string, args ...any)
@@ -129,12 +113,6 @@ type Client struct {
 	fetchSeq   uint64 // request id generator for FetchReq.Seq
 	jitterRng  *rand.Rand
 	res        stats.Resilience
-
-	// pendUpd queues not-yet-shipped update items per destination store
-	// (UpdateBatch > 1); pendAt records each queue's oldest item time.
-	pendUpd      map[int][]UpdateBatchItem
-	pendAt       map[int]sim.Time
-	updateFrames uint64 // one-way update messages actually sent (frames, not items)
 }
 
 // NewClient creates a client for the application node bound to ep.
@@ -326,12 +304,6 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 				p.Sleep(pause)
 			}
 		}
-		// Ship any queued updates for this store first: the edge is FIFO, so
-		// they are applied before the fetch is served and the returned counts
-		// include every increment issued so far.
-		if err := c.flushUpdates(p, target); err != nil {
-			return nil, fmt.Errorf("remotemem: node %d: flushing updates to store %d: %w", c.node, target, err)
-		}
 		c.fetchSeq++
 		if err := c.ep.Send(p, target, cluster.PortMem,
 			FetchReq{Owner: c.node, Line: line, Seq: c.fetchSeq}, reqWireBytes); err != nil {
@@ -461,10 +433,11 @@ func (c *Client) recoverLine(p transport.Proc, line, holder int) ([]memtable.Ent
 	return sh, nil
 }
 
-// Update sends a one-way count increment for a pinned line (§4.4). The
-// shadow, when retained, mirrors the increment so a later recovery carries
-// the same counts the remote copy had. With UpdateBatch > 1 the increment is
-// queued and shipped in a coalesced per-destination frame instead.
+// Update sends a one-way count increment for a pinned line (§4.4): one
+// UpdateMsg per increment, the paper's wire behaviour, on which the Table-4
+// calibration and the golden traces rest. The shadow, when retained, mirrors
+// the increment so a later recovery carries the same counts the remote copy
+// had.
 func (c *Client) Update(p transport.Proc, line int, loc memtable.Location, key string) error {
 	if sh, ok := c.shadow[line]; ok {
 		for i := range sh {
@@ -480,59 +453,9 @@ func (c *Client) Update(p transport.Proc, line int, loc memtable.Location, key s
 	if c.tainted[line] {
 		return nil // remote copy already stale; the shadow is authoritative
 	}
-	if c.UpdateBatch > 1 {
-		if c.pendUpd == nil {
-			c.pendUpd = make(map[int][]UpdateBatchItem)
-			c.pendAt = make(map[int]sim.Time)
-		}
-		dest := loc.Node
-		if len(c.pendUpd[dest]) == 0 {
-			c.pendAt[dest] = p.Now()
-		}
-		c.pendUpd[dest] = append(c.pendUpd[dest], UpdateBatchItem{Line: line, Key: key})
-		if len(c.pendUpd[dest]) >= c.UpdateBatch ||
-			(c.UpdateFlushAge > 0 && p.Now().Sub(c.pendAt[dest]) >= c.UpdateFlushAge) {
-			return c.flushUpdates(p, dest)
-		}
-		return nil
-	}
-	c.updateFrames++
 	return c.ep.Send(p, loc.Node, cluster.PortMem,
 		UpdateMsg{Owner: c.node, Line: line, Key: key}, updateWireBytes)
 }
-
-// flushUpdates ships the destination's queued update items as one coalesced
-// frame. Items for lines tainted since queueing are dropped (their shadows
-// are authoritative); a destination found dead loses its whole queue the
-// same way lone updates to a dead store are skipped.
-func (c *Client) flushUpdates(p transport.Proc, dest int) error {
-	pend := c.pendUpd[dest]
-	if len(pend) == 0 {
-		return nil
-	}
-	delete(c.pendUpd, dest)
-	delete(c.pendAt, dest)
-	if c.destStates[dest] == destDead {
-		return nil // shadows carry the counts
-	}
-	items := pend[:0]
-	for _, it := range pend {
-		if !c.tainted[it.Line] {
-			items = append(items, it)
-		}
-	}
-	if len(items) == 0 {
-		return nil
-	}
-	c.updateFrames++
-	return c.ep.Send(p, dest, cluster.PortMem,
-		UpdateBatchMsg{Owner: c.node, Items: items}, updateBatchWireBytes(len(items)))
-}
-
-// UpdateFrames returns how many one-way update messages actually crossed the
-// network (frames, not logical increments). With batching off this equals
-// the table's Updates counter; with batching on it is the coalesced count.
-func (c *Client) UpdateFrames() uint64 { return c.updateFrames }
 
 var _ memtable.Pager = (*Client)(nil)
 
@@ -666,13 +589,6 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 }
 
 func (c *Client) handleMigrateDone(p transport.Proc, msg MigrateDone) {
-	// Drain queued updates for the migrating store now: its remaining lines
-	// may never be fetched from it again, and the store's forward map routes
-	// items for already-moved lines to their new holder.
-	if err := c.flushUpdates(p, msg.From); err != nil {
-		c.logf("remotemem: node %d: flushing updates to migrating store %d: %v",
-			c.node, msg.From, err)
-	}
 	for _, line := range msg.Lines {
 		if c.placed[line] != msg.From {
 			continue // fetched or re-stored elsewhere in the meantime

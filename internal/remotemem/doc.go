@@ -26,6 +26,11 @@
 // to report at all — failure detection), the Client directs migration of
 // its lines to the remaining stores, preserving counts.
 //
+// The simulated Client sends the paper's one UpdateMsg per increment, by
+// design: the Table-4 calibration and the golden traces rest on it.
+// TCPPager, the real-TCP pager, has one update path too: it coalesces
+// increments per server into rmtp OpUpdateBatch frames.
+//
 // Store, Monitor, and Client all accept an optional trace.Recorder; when
 // attached, store/fetch/update service times, availability reports,
 // migration commands and batches, and fault detections are emitted as

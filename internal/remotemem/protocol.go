@@ -44,22 +44,6 @@ type UpdateMsg struct {
 	Key   string
 }
 
-// UpdateBatchItem is one increment inside an UpdateBatchMsg.
-type UpdateBatchItem struct {
-	Line int
-	Key  string
-}
-
-// UpdateBatchMsg coalesces many one-way count increments bound for one store
-// into a single message: one header amortizes over the whole batch, cutting
-// the per-update wire cost from updateWireBytes to updateItemWireBytes. The
-// store applies items in order; items for lines it migrated away are
-// forwarded individually via its forward map.
-type UpdateBatchMsg struct {
-	Owner int
-	Items []UpdateBatchItem
-}
-
 // MigrateCmd is the owner's "migration direction ... to tell to which node
 // these entries should be migrated" (§4.2). The store transfers the listed
 // lines to Dest and then notifies the owner with MigrateDone.
@@ -101,17 +85,7 @@ const (
 	updateWireBytes = 48
 	reportWireBytes = 32
 	doneWireBytes   = 64
-
-	// updateItemWireBytes is one increment inside a coalesced batch frame:
-	// line id + packed key, without the per-message header a lone UpdateMsg
-	// pays (matching memtable.EntryWireBytes).
-	updateItemWireBytes = 12
-	// updateBatchHeader is the fixed framing of an UpdateBatchMsg.
-	updateBatchHeader = 16
 )
-
-// updateBatchWireBytes sizes a coalesced update frame carrying n items.
-func updateBatchWireBytes(n int) int { return updateBatchHeader + n*updateItemWireBytes }
 
 // lineWireBytes returns the wire size of a line-carrying message.
 func lineWireBytes(blockSize, entries int) int {

@@ -174,37 +174,6 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 			})
 		}
 
-	case UpdateBatchMsg:
-		// A coalesced frame of one-way updates. Each item is serviced exactly
-		// as a lone UpdateMsg: same per-item service cost, same forwarding for
-		// since-migrated lines — only the wire framing is shared.
-		for _, it := range req.Items {
-			p.Work(s.costs.UpdateService)
-			key := lineKey{req.Owner, it.Line}
-			entries, ok := s.lines[key]
-			if !ok {
-				if dest, fwd := s.forward[key]; fwd {
-					s.forwarded++
-					s.send(p, dest, cluster.PortMem,
-						UpdateMsg{Owner: req.Owner, Line: it.Line, Key: it.Key}, updateWireBytes)
-				}
-				continue
-			}
-			s.updates++
-			for i := range entries {
-				if entries[i].Key == it.Key {
-					entries[i].Count++
-					break
-				}
-			}
-			if s.Rec.Wants(trace.KUpdateApply) {
-				s.Rec.Emit(trace.Event{
-					At: p.Now(), Node: s.node, Kind: trace.KUpdateApply,
-					Line: it.Line, Peer: req.Owner, Bytes: updateItemWireBytes,
-				})
-			}
-		}
-
 	case MigrateCmd:
 		// Transfer the listed lines to the destination store packed into
 		// message blocks, then notify the owner. Lines fetched concurrently

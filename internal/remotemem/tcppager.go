@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/memtable"
 	"repro/internal/rmtp"
@@ -15,8 +14,8 @@ import (
 type TCPPagerStats struct {
 	Stores          uint64 // lines shipped out
 	Fetches         uint64 // lines fetched back
-	Updates         uint64 // one-way increments issued (logical, batched or not)
-	UpdateFrames    uint64 // one-way update frames actually sent on the wire
+	Updates         uint64 // one-way increments issued (logical)
+	UpdateFrames    uint64 // coalesced update frames actually sent on the wire
 	Failovers       uint64 // stores diverted to another server after a refusal
 	Recoveries      uint64 // fetches served from the shadow after a remote failure
 	Taints          uint64 // lines whose remote copy went stale (lost one-way updates)
@@ -29,11 +28,15 @@ type TCPPagerStats struct {
 	ResetLines      uint64 // remote lines purged by those resets
 }
 
+// updateBatchMax is the most update items one OpUpdateBatch frame carries.
+const updateBatchMax = 64
+
 // tcpLine is the pager's private record of one remotely-stored line.
 type tcpLine struct {
 	server  int              // index into the client fleet
 	shadow  []memtable.Entry // mirror of the remote copy, updates applied locally
 	epoch   uint64           // holder's ConnEpoch at the line's last remote write
+	oneWay  bool             // that write was an unconfirmed one-way update frame
 	tainted bool             // a remote write failed: the shadow is authoritative
 }
 
@@ -49,6 +52,13 @@ type tcpLine struct {
 //     fails over to the next server instead of losing the line.
 //   - Every stored line keeps a private shadow copy; one-way updates are
 //     mirrored into it.
+//   - One-way updates are coalesced per server into OpUpdateBatch frames of
+//     up to updateBatchMax items. A server's queue ships when it is full,
+//     before a fetch from that server and before MigrateAll moves lines off
+//     it; Reset drops it. A frame that fails to send taints its lines, and
+//     so does one that lands on a different connection epoch than the
+//     line's earlier unconfirmed frame: that one may have died with its
+//     connection.
 //   - Fetches use the protocol's lease-then-delete and verify against the
 //     shadow: a reply on the same connection epoch as the line's last write
 //     must match the shadow exactly (TCP ordering proves every one-way
@@ -69,13 +79,7 @@ type TCPPager struct {
 	rr      int
 	stats   TCPPagerStats
 	logf    func(string, ...any)
-
-	// Update coalescing (SetUpdateBatch). pendU queues not-yet-shipped
-	// update items per server; pendAt records each queue's oldest item time.
-	batchN   int
-	batchAge time.Duration
-	pendU    map[int][]rmtp.UpdateItem
-	pendAt   map[int]time.Time
+	pendU   map[int][]rmtp.UpdateItem // not-yet-shipped update items per server
 }
 
 // NewTCPPager dials every server in the fleet. owner namespaces this pager's
@@ -89,6 +93,7 @@ func NewTCPPager(owner string, addrs []string, opts rmtp.Options) (*TCPPager, er
 		addrs: append([]string(nil), addrs...),
 		lines: make(map[int]*tcpLine),
 		logf:  func(string, ...any) {},
+		pendU: make(map[int][]rmtp.UpdateItem),
 	}
 	for i, addr := range addrs {
 		cl, err := rmtp.DialOptions(addr, owner, opts)
@@ -99,30 +104,6 @@ func NewTCPPager(owner string, addrs []string, opts rmtp.Options) (*TCPPager, er
 		tp.clients = append(tp.clients, cl)
 	}
 	return tp, nil
-}
-
-// SetUpdateBatch turns on update coalescing: instead of one OpUpdate frame
-// per increment, up to n increments bound for the same server are queued and
-// shipped as a single OpUpdateBatch frame. A queue is flushed when it reaches
-// n items, when its oldest item has waited maxAge (checked lazily on the next
-// queued update; pass 0 to flush on count alone), and always before a fetch
-// from or migration off its server — rmtp connections are FIFO and the server
-// serves one frame at a time, so a flush written before a FetchReq is applied
-// before the fetch is served, keeping the shadow-verification invariant.
-//
-// n <= 1 restores the one-frame-per-update path. Safety is unchanged either
-// way: every increment is mirrored into the line's shadow at Update() time,
-// so a batch that dies on the wire taints its lines and the shadows carry
-// the counts, exactly as a lost lone update would.
-func (tp *TCPPager) SetUpdateBatch(n int, maxAge time.Duration) {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	tp.batchN = n
-	tp.batchAge = maxAge
-	if n > 1 && tp.pendU == nil {
-		tp.pendU = make(map[int][]rmtp.UpdateItem)
-		tp.pendAt = make(map[int]time.Time)
-	}
 }
 
 // SetLogger directs diagnostic output (default: silent).
@@ -147,7 +128,6 @@ func (tp *TCPPager) ClientMetrics() rmtp.Metrics {
 	for _, cl := range tp.clients {
 		m := cl.Metrics()
 		sum.Ops += m.Ops
-		sum.OneWay += m.OneWay
 		sum.UpdateBatches += m.UpdateBatches
 		sum.BatchedUpdates += m.BatchedUpdates
 		sum.Calls += m.Calls
@@ -258,8 +238,9 @@ func (tp *TCPPager) StoreOut(p transport.Proc, line int, entries []memtable.Entr
 		tp.owner, len(tp.clients), line, lastErr)
 }
 
-// Update applies a one-way increment, mirrored into the shadow. A failed
-// send taints the line: the shadow stays authoritative from there on.
+// Update applies a one-way increment, mirrored into the shadow, and queues it
+// for the line's server; a full queue ships as one frame. A failed send taints
+// the line: the shadow stays authoritative from there on.
 func (tp *TCPPager) Update(p transport.Proc, line int, loc memtable.Location, key string) error {
 	tp.mu.Lock()
 	st, ok := tp.lines[line]
@@ -277,40 +258,15 @@ func (tp *TCPPager) Update(p transport.Proc, line int, loc memtable.Location, ke
 		tp.mu.Unlock()
 		return nil // remote copy already stale; don't widen the divergence
 	}
+	tp.stats.Updates++
 	server := st.server
-
-	if tp.batchN > 1 {
-		tp.stats.Updates++
-		if len(tp.pendU[server]) == 0 {
-			tp.pendAt[server] = time.Now()
-		}
-		tp.pendU[server] = append(tp.pendU[server], rmtp.UpdateItem{Line: int32(line), Key: key})
-		var flush []rmtp.UpdateItem
-		if len(tp.pendU[server]) >= tp.batchN ||
-			(tp.batchAge > 0 && time.Since(tp.pendAt[server]) >= tp.batchAge) {
-			flush = tp.takePendingLocked(server)
-		}
-		tp.mu.Unlock()
-		tp.sendBatch(server, flush)
-		return nil
+	tp.pendU[server] = append(tp.pendU[server], rmtp.UpdateItem{Line: int32(line), Key: key})
+	var flush []rmtp.UpdateItem
+	if len(tp.pendU[server]) >= updateBatchMax {
+		flush = tp.takePendingLocked(server)
 	}
 	tp.mu.Unlock()
-
-	err := tp.clients[server].Update(int32(line), key)
-
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	tp.stats.Updates++
-	tp.stats.UpdateFrames++
-	if err != nil {
-		if !st.tainted {
-			st.tainted = true
-			tp.stats.Taints++
-			tp.logf("remotemem: %s: line %d tainted: update send failed: %v", tp.owner, line, err)
-		}
-		return nil // the shadow carries the count
-	}
-	st.epoch = tp.clients[server].ConnEpoch()
+	tp.sendBatch(server, flush)
 	return nil
 }
 
@@ -324,7 +280,6 @@ func (tp *TCPPager) takePendingLocked(server int) []rmtp.UpdateItem {
 		return nil
 	}
 	delete(tp.pendU, server)
-	delete(tp.pendAt, server)
 	items := pend[:0]
 	for _, it := range pend {
 		st, ok := tp.lines[int(it.Line)]
@@ -345,8 +300,11 @@ func (tp *TCPPager) flushServer(server int) {
 }
 
 // sendBatch transmits one coalesced update frame. A failed send taints every
-// line in the batch — their remote copies are missing these increments — and
-// the shadows carry the counts, exactly as with a lost lone update.
+// line in the batch: their remote copies miss these increments, and the
+// shadows carry the counts. A sent frame is unconfirmed until a later
+// exchange on the same connection epoch, so a line whose earlier frame went
+// out on another epoch is tainted too: that frame may have died with its
+// connection, and nothing on the new one could tell.
 func (tp *TCPPager) sendBatch(server int, items []rmtp.UpdateItem) {
 	if len(items) == 0 {
 		return
@@ -355,24 +313,24 @@ func (tp *TCPPager) sendBatch(server int, items []rmtp.UpdateItem) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	tp.stats.UpdateFrames++
-	if err != nil {
-		for _, it := range items {
-			st, ok := tp.lines[int(it.Line)]
-			if !ok || st.server != server || st.tainted {
-				continue
-			}
-			st.tainted = true
-			tp.stats.Taints++
-		}
-		tp.logf("remotemem: %s: batch of %d updates to server %d failed, lines tainted: %v",
-			tp.owner, len(items), server, err)
-		return
-	}
 	epoch := tp.clients[server].ConnEpoch()
 	for _, it := range items {
-		if st, ok := tp.lines[int(it.Line)]; ok && st.server == server && !st.tainted {
-			st.epoch = epoch
+		st, ok := tp.lines[int(it.Line)]
+		if !ok || st.server != server || st.tainted {
+			continue
 		}
+		switch {
+		case err != nil:
+			tp.logf("remotemem: %s: line %d tainted: update frame to server %d failed: %v", tp.owner, it.Line, server, err)
+		case st.oneWay && st.epoch != epoch:
+			tp.logf("remotemem: %s: line %d tainted: its earlier update frame went out on a closed connection", tp.owner, it.Line)
+		default:
+			st.epoch = epoch
+			st.oneWay = true
+			continue
+		}
+		st.tainted = true
+		tp.stats.Taints++
 	}
 }
 
@@ -387,6 +345,14 @@ func (tp *TCPPager) FetchIn(p transport.Proc, line int, loc memtable.Location) (
 		return nil, fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, line)
 	}
 	server := st.server
+	tp.mu.Unlock()
+
+	// Ship any queued updates for this server first: the connection is FIFO
+	// and the server serial, so they are applied before the fetch is served
+	// and the reply matches the shadow. The flush itself may taint the line.
+	tp.flushServer(server)
+
+	tp.mu.Lock()
 	if st.tainted {
 		delete(tp.lines, line)
 		tp.stats.Recoveries++
@@ -398,11 +364,6 @@ func (tp *TCPPager) FetchIn(p transport.Proc, line int, loc memtable.Location) (
 		return shadow, nil
 	}
 	tp.mu.Unlock()
-
-	// Ship any queued updates for this server first: the connection is FIFO
-	// and the server serial, so they are applied before the fetch is served
-	// and the reply matches the shadow.
-	tp.flushServer(server)
 
 	entries, err := tp.clients[server].Fetch(int32(line))
 
@@ -460,6 +421,7 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 	}
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
+	fromEpoch := tp.clients[from].ConnEpoch()
 	out := make([]int, 0, len(moved))
 	for _, l := range moved {
 		line := int(l)
@@ -467,11 +429,17 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 		if !ok || st.server != from {
 			continue // fetched or re-stored concurrently
 		}
-		st.server = dest
 		// Migrate is request/reply on from's connection, so its success
 		// confirms every earlier one-way on that connection was delivered
-		// before the push; the line's trust now hangs on dest's connection.
+		// before the push; one sent on an older connection may not have been.
+		// The line's trust now hangs on dest's connection.
+		if st.oneWay && st.epoch != fromEpoch && !st.tainted {
+			st.tainted = true
+			tp.stats.Taints++
+		}
+		st.server = dest
 		st.epoch = tp.clients[dest].ConnEpoch()
+		st.oneWay = false
 		tp.stats.Migrated++
 		out = append(out, line)
 	}
@@ -486,10 +454,7 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 func (tp *TCPPager) Reset() error {
 	tp.mu.Lock()
 	tp.lines = make(map[int]*tcpLine)
-	if tp.pendU != nil {
-		tp.pendU = make(map[int][]rmtp.UpdateItem)
-		tp.pendAt = make(map[int]time.Time)
-	}
+	tp.pendU = make(map[int][]rmtp.UpdateItem)
 	tp.stats.Resets++
 	tp.mu.Unlock()
 	var first error

@@ -36,9 +36,9 @@ func startProxy(t *testing.T, upstream string) *chaos.Proxy {
 	return px
 }
 
-func newPager(t *testing.T, owner, addr string) *remotemem.TCPPager {
+func newPager(t *testing.T, owner string, addrs ...string) *remotemem.TCPPager {
 	t.Helper()
-	tp, err := remotemem.NewTCPPager(owner, []string{addr},
+	tp, err := remotemem.NewTCPPager(owner, addrs,
 		rmtp.Options{Timeout: 2 * time.Second, Retries: 2, Backoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +58,28 @@ func sideUpdate(t *testing.T, addr, owner string, line int32, key string) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Update(line, key); err != nil {
+	if err := c.UpdateBatch([]rmtp.UpdateItem{{Line: line, Key: key}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stat(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shipBatch queues updates for line until the pager's queue for its server
+// fills and ships as one frame, returning how many updates that took.
+func shipBatch(t *testing.T, tp *remotemem.TCPPager, line int, loc memtable.Location, key string) int {
+	t.Helper()
+	p := transport.NewRealProc()
+	frames := tp.Stats().UpdateFrames
+	n := 0
+	for tp.Stats().UpdateFrames == frames {
+		if err := tp.Update(p, line, loc, key); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	return n
 }
 
 // TestTCPPagerEpochChangeTaints: the connection turns over between a line's
@@ -80,9 +96,16 @@ func TestTCPPagerEpochChangeTaints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	filler, err := tp.StoreOut(p, 3, []memtable.Entry{{Key: "f", Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Line 2's last write is one update, shipped on the old connection in a
+	// batch that line 3's updates fill.
 	if err := tp.Update(p, 2, loc, "k"); err != nil {
 		t.Fatal(err)
 	}
+	shipBatch(t, tp, 3, filler, "f")
 	px.ResetAll() // the pager's connection dies; its next call reconnects
 	sideUpdate(t, srv.Addr(), "epoch", 2, "k")
 
@@ -96,6 +119,96 @@ func TestTCPPagerEpochChangeTaints(t *testing.T) {
 	st := tp.Stats()
 	if st.Taints != 1 || st.VerifiedFetches != 0 || st.Mismatches != 0 {
 		t.Errorf("stats = %+v, want one taint and no verified fetch", st)
+	}
+}
+
+// TestTCPPagerOneWaysOnTwoEpochsTaint: a line's update frames went out on two
+// connections. The first frame may have died with its connection, and a fetch
+// on the second cannot tell, so the pager must serve the shadow instead of
+// trusting the remote copy. The side update on the key the pager never
+// touches makes the remote copy differ from the shadow whether or not the
+// reset dropped the first frame.
+func TestTCPPagerOneWaysOnTwoEpochsTaint(t *testing.T) {
+	srv := startServer(t)
+	px := startProxy(t, srv.Addr())
+	tp := newPager(t, "twoepochs", px.Addr())
+	p := transport.NewRealProc()
+
+	locA, err := tp.StoreOut(p, 1, []memtable.Entry{{Key: "a", Count: 1}, {Key: "b", Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	locB, err := tp.StoreOut(p, 2, []memtable.Entry{{Key: "k", Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := shipBatch(t, tp, 1, locA, "a") // line A's first frame, on connection 1
+	px.ResetAll()
+	// A write for line B dies with the connection; B's fetch reconnects.
+	if err := tp.Update(p, 2, locB, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.FetchIn(p, 2, locB); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.Update(p, 1, locA, "a"); err != nil { // A's next frame: connection 2
+		t.Fatal(err)
+	}
+	sideUpdate(t, srv.Addr(), "twoepochs", 1, "b")
+
+	got, err := tp.FetchIn(p, 1, locA)
+	if err != nil {
+		t.Fatalf("fetch = %v, want the shadow", err)
+	}
+	want := []memtable.Entry{{Key: "a", Count: int32(2 + n)}, {Key: "b", Count: 1}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("entries = %v, want the shadow %v", got, want)
+	}
+	if st := tp.Stats(); st.Mismatches != 0 || st.VerifiedFetches != 0 {
+		t.Errorf("stats = %+v, want no verified fetch and no mismatch", st)
+	}
+}
+
+// TestTCPPagerMigrateAfterEpochChangeTaints: a line's update frame went out
+// on a connection that has since turned over, and then the line migrates. The
+// migration's reply confirms only the current connection, so the moved copy
+// may lack that frame: the pager must serve the shadow, not verify against
+// the destination.
+func TestTCPPagerMigrateAfterEpochChangeTaints(t *testing.T) {
+	from := startServer(t)
+	dest := startServer(t)
+	px := startProxy(t, from.Addr())
+	tp := newPager(t, "migrate", px.Addr(), dest.Addr())
+	p := transport.NewRealProc()
+
+	var locs []memtable.Location // round-robin: lines 0 and 2 on server 0
+	for line := 0; line < 3; line++ {
+		loc, err := tp.StoreOut(p, line, []memtable.Entry{{Key: "a", Count: 1}, {Key: "b", Count: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, loc)
+	}
+	n := shipBatch(t, tp, 0, locs[0], "a")
+	px.ResetAll()
+	if _, err := tp.FetchIn(p, 2, locs[2]); err != nil { // reconnects to server 0
+		t.Fatal(err)
+	}
+	sideUpdate(t, from.Addr(), "migrate", 0, "b")
+	if moved, err := tp.MigrateAll(0, 1); err != nil || len(moved) != 1 {
+		t.Fatalf("migrate = %v, %v, want line 0 moved", moved, err)
+	}
+
+	got, err := tp.FetchIn(p, 0, locs[0])
+	if err != nil {
+		t.Fatalf("fetch = %v, want the shadow", err)
+	}
+	want := []memtable.Entry{{Key: "a", Count: int32(1 + n)}, {Key: "b", Count: 1}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("entries = %v, want the shadow %v", got, want)
+	}
+	if st := tp.Stats(); st.Mismatches != 0 {
+		t.Errorf("stats = %+v, want no mismatch", st)
 	}
 }
 

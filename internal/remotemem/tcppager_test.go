@@ -221,16 +221,16 @@ func TestTCPPagerBatchedUpdatesVerifiedAndCoalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	tp.SetUpdateBatch(16, 0)
 
 	p := transport.NewRealProc()
 	loc, err := tp.StoreOut(p, 2, entries("x", 0, "y", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 50 increments: three full 16-batches on the wire, the trailing 2 still
-	// queued until the fetch flushes them (FIFO proves ordering).
-	for i := 0; i < 50; i++ {
+	// Three full batches on the wire, the trailing 2 increments still queued
+	// until the fetch flushes them (FIFO proves ordering).
+	n := 3*updateBatchMax + 2
+	for i := 0; i < n; i++ {
 		key := "x"
 		if i%5 == 0 {
 			key = "y"
@@ -243,15 +243,16 @@ func TestTCPPagerBatchedUpdatesVerifiedAndCoalesced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Count != 40 || got[1].Count != 10 {
+	ys := (n + 4) / 5
+	if got[0].Count != int32(n-ys) || got[1].Count != int32(ys) {
 		t.Fatalf("after batched updates: %v", got)
 	}
 	st := tp.Stats()
-	if st.Updates != 50 || st.VerifiedFetches != 1 || st.Mismatches != 0 || st.Taints != 0 {
+	if st.Updates != uint64(n) || st.VerifiedFetches != 1 || st.Mismatches != 0 || st.Taints != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.UpdateFrames != 4 {
-		t.Errorf("update frames = %d, want 4 (3 full batches + 1 fetch-flush)", st.UpdateFrames)
+	if want := uint64(n/updateBatchMax + 1); st.UpdateFrames != want {
+		t.Errorf("update frames = %d, want %d (%d full batches + 1 fetch-flush)", st.UpdateFrames, want, n/updateBatchMax)
 	}
 }
 
@@ -268,7 +269,6 @@ func TestTCPPagerBatchedUpdatesSurviveServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	tp.SetUpdateBatch(4, 0)
 
 	p := transport.NewRealProc()
 	loc, err := tp.StoreOut(p, 3, entries("k", 1))
@@ -276,9 +276,11 @@ func TestTCPPagerBatchedUpdatesSurviveServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	// Queue updates against the dead server; the flush that fails must taint
-	// the line so the shadow (which has every count) wins on fetch.
-	for i := 0; i < 6; i++ {
+	// Queue updates against the dead server; the full batch that fails to
+	// send must taint the line so the shadow (which has every count) wins on
+	// fetch.
+	n := updateBatchMax + 2
+	for i := 0; i < n; i++ {
 		if err := tp.Update(p, 3, loc, "k"); err != nil {
 			t.Fatal(err)
 		}
@@ -287,8 +289,8 @@ func TestTCPPagerBatchedUpdatesSurviveServerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Count != 7 {
-		t.Fatalf("shadow recovery: %v, want k=7", got)
+	if len(got) != 1 || got[0].Count != int32(1+n) {
+		t.Fatalf("shadow recovery: %v, want k=%d", got, 1+n)
 	}
 	st := tp.Stats()
 	if st.Taints == 0 || st.Recoveries != 1 {

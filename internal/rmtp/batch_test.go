@@ -89,7 +89,7 @@ func FuzzUpdateBatch(f *testing.F) {
 }
 
 // TestUpdateBatchLoopback drives a real server: a coalesced frame must land
-// every increment exactly where the equivalent lone updates would.
+// every increment on its own line and key.
 func TestUpdateBatchLoopback(t *testing.T) {
 	srv := NewServer(0)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
@@ -147,7 +147,7 @@ func TestUpdateBatchLoopback(t *testing.T) {
 		t.Fatalf("server batches = %d, want 1", sm.UpdateBatches)
 	}
 	// Updates counts items addressed to present lines (13 of 14); only the
-	// item for missing line 9 is excluded, matching lone-OpUpdate accounting.
+	// item for missing line 9 is excluded.
 	if sm.Updates != 13 {
 		t.Fatalf("server updates = %d, want 13", sm.Updates)
 	}

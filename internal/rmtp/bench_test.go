@@ -29,7 +29,7 @@ func BenchmarkStoreFetchLoopback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := int32(i % 1024)
-		if err := c.Store(line, entries); err != nil {
+		if err := c.StoreAck(line, entries); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := c.Fetch(line); err != nil {
@@ -38,16 +38,16 @@ func BenchmarkStoreFetchLoopback(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateLoopback measures pipelined one-way remote updates — the
-// remote-update policy's unit cost.
+// BenchmarkUpdateLoopback measures pipelined one-way update frames carrying
+// one item each: the fixed per-frame cost that coalescing amortizes.
 func BenchmarkUpdateLoopback(b *testing.B) {
 	_, c := benchServerClient(b)
-	if err := c.Store(1, entriesN(6)); err != nil {
+	if err := c.StoreAck(1, entriesN(6)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Update(1, "key-003"); err != nil {
+		if err := c.UpdateBatch([]UpdateItem{{Line: 1, Key: "key-003"}}); err != nil {
 			b.Fatal(err)
 		}
 	}

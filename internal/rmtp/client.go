@@ -299,7 +299,6 @@ func (c *Client) send(op Op, line int32, payload []byte) error {
 	}
 	c.noteSuccessLocked()
 	c.m.Ops++
-	c.m.OneWay++
 	c.m.BytesSent += uint64(frameHeaderBytes + len(payload))
 	return nil
 }
@@ -418,23 +417,12 @@ func (c *Client) callIdempotent(op Op, line int32, payload []byte) (Op, []byte, 
 	return 0, nil, lastErr
 }
 
-// encPool recycles payload encode buffers so steady-state one-way traffic
-// (stores, updates, update batches) allocates nothing per operation.
+// encPool recycles payload encode buffers so steady-state traffic (acked
+// stores, update batches) allocates nothing per encode.
 var encPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getEncBuf() *[]byte  { return encPool.Get().(*[]byte) }
 func putEncBuf(b *[]byte) { encPool.Put(b) }
-
-// Store ships a line's entries (one-way, pipelined). Delivery is not
-// confirmed: a server over capacity drops the line with only a server-side
-// log. Use StoreAck when the caller must know the line landed.
-func (c *Client) Store(line int32, entries []Entry) error {
-	buf := getEncBuf()
-	*buf = AppendEntries((*buf)[:0], entries)
-	err := c.send(OpStore, line, *buf)
-	putEncBuf(buf)
-	return err
-}
 
 // StoreAck ships a line's entries and waits for the server's acceptance.
 // A server over its memory budget refuses with a capacity NACK, surfaced as
@@ -530,19 +518,11 @@ func (c *Client) Fetch(line int32) ([]Entry, error) {
 	return entries, nil
 }
 
-// Update applies a one-way count increment for key at a stored line.
-func (c *Client) Update(line int32, key string) error {
-	buf := getEncBuf()
-	*buf = AppendString((*buf)[:0], key)
-	err := c.send(OpUpdate, line, *buf)
-	putEncBuf(buf)
-	return err
-}
-
 // UpdateBatch ships many one-way count increments — possibly spanning many
-// lines — in a single frame. One frame header and one syscall amortize over
-// the whole batch; the server applies items in order, dropping those for
-// absent lines exactly as lone updates would be.
+// lines — in a single frame, the protocol's only update op. One frame header
+// and one syscall amortize over the whole batch; the server applies items in
+// order, dropping those for absent lines. Delivery is confirmed only by a
+// later request/reply on the same connection epoch (ConnEpoch).
 func (c *Client) UpdateBatch(items []UpdateItem) error {
 	if len(items) == 0 {
 		return nil

@@ -1,7 +1,7 @@
 // Package rmtp implements the Remote Memory Transfer Protocol: a compact
 // binary TCP protocol carrying the same operations the simulated cluster's
-// remote-memory layer uses — store a hash line, fetch it back, apply a
-// one-way update, migrate lines to another server, and query occupancy.
+// remote-memory layer uses — store a hash line, fetch it back, apply
+// one-way updates, migrate lines to another server, and query occupancy.
 // It demonstrates that the paper's application-level remote-memory
 // interface (§4.2) is directly implementable over commodity sockets; the
 // examples and tests run it over loopback, and remotemem.TCPPager swaps the
@@ -15,6 +15,11 @@
 // payload. A session starts with OpHello carrying the client's owner id;
 // lines are namespaced per owner, as in the simulated store.
 //
+// Every write is acked or coalesced: a store is OpStoreAck (request/reply),
+// and count updates travel only in OpUpdateBatch frames, the one one-way op.
+// Ops 2, 3 and 4 (the retired one-way store, destructive fetch and lone
+// update) are unknown ops: a frame carrying one drops its connection.
+//
 // Key types:
 //
 //   - Server: holds lines under a capacity, serves all ops, and reports
@@ -22,10 +27,11 @@
 //     ServerOptions arm overload protection: a session cap (MaxConns),
 //     per-connection read deadlines (IdleTimeout), and a frame payload cap
 //     (MaxFrameBytes) that rejects oversized lengths before allocation.
-//     An acked store (OpStoreAck) over the memory budget draws a capacity
-//     NACK (ErrCapacity at the client) instead of a silent drop.
+//     A store over the memory budget draws a capacity NACK (ErrCapacity at
+//     the client). Server-to-server migration stores with acks too and
+//     stops at the first line the destination refuses, which stays put.
 //   - Client: one connection with reconnect-and-retry for idempotent ops;
-//     Store/StoreAck/Fetch/Update/Migrate/Stat mirror the wire ops. Fetch
+//     StoreAck/Fetch/UpdateBatch/Migrate/Reset/Stat mirror the wire ops. Fetch
 //     uses lease-then-delete (OpFetchHold + OpRelease): the server keeps a
 //     served line until the client acks receipt, so a reply lost to a dead
 //     connection never loses the line. Options add per-op deadlines,

@@ -124,10 +124,10 @@ func TestMigrationSkipsLeasedLines(t *testing.T) {
 	}
 }
 
-// TestLegacyFetchOpDropsConnection: op 3, the retired destructive fetch, is
-// an unknown op. The server drops the connection that sent it without
-// serving or deleting anything, and the line still fetches through a normal
-// client.
+// TestLegacyFetchOpDropsConnection: ops 2, 3 and 4, the retired one-way
+// store, destructive fetch and lone update, are unknown ops. The server drops
+// the connection that sent one without applying it, and the line still
+// fetches unchanged through a normal client.
 func TestLegacyFetchOpDropsConnection(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "app0")
@@ -135,20 +135,30 @@ func TestLegacyFetchOpDropsConnection(t *testing.T) {
 	if err := c.StoreAck(1, want); err != nil {
 		t.Fatal(err)
 	}
-	conn := rawSession(t, s.Addr(), "app0")
-	defer conn.Close()
-	if err := WriteFrame(conn, Op(3), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if op, _, payload, err := ReadFrame(conn); err == nil {
-		t.Fatalf("op 3 was answered: op=%d (%s), want the connection dropped", op, payload)
-	}
-	if occ := s.Occupancy(); occ.Lines != 1 {
-		t.Errorf("op 3 left %d lines, want 1", occ.Lines)
+	for _, f := range []struct {
+		op      Op
+		line    int32
+		payload []byte
+	}{
+		{2, 2, EncodeEntries(want)},
+		{3, 1, nil},
+		{4, 1, EncodeString(want[0].Key)},
+	} {
+		conn := rawSession(t, s.Addr(), "app0")
+		if err := WriteFrame(conn, f.op, f.line, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		if op, _, payload, err := ReadFrame(conn); err == nil {
+			t.Fatalf("op %d was answered: op=%d (%s), want the connection dropped", f.op, op, payload)
+		}
+		conn.Close()
+		if occ := s.Occupancy(); occ.Lines != 1 {
+			t.Errorf("op %d left %d lines, want 1", f.op, occ.Lines)
+		}
 	}
 	got, err := c.Fetch(1)
 	if err != nil {
-		t.Fatalf("fetch after op 3: %v", err)
+		t.Fatalf("fetch after the retired ops: %v", err)
 	}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("fetched %v, stored %v", got, want)

@@ -14,8 +14,7 @@ const frameHeaderBytes = 9
 // layer's virtual-time trace, these measure real wall-clock TCP behaviour;
 // the latency histogram is in real nanoseconds.
 type Metrics struct {
-	Ops              uint64          // operations attempted (one-way + calls)
-	OneWay           uint64          // one-way frames shipped (Store, Update, UpdateBatch)
+	Ops              uint64          // operations attempted (update batches + calls)
 	UpdateBatches    uint64          // coalesced update frames shipped
 	BatchedUpdates   uint64          // individual updates carried inside batches
 	Calls            uint64          // request/reply exchanges completed
@@ -39,7 +38,6 @@ func (m Metrics) Snapshot(name string) trace.Snapshot {
 		Name: name,
 		Fields: []trace.Field{
 			{Name: "ops", Value: float64(m.Ops)},
-			{Name: "one_way", Value: float64(m.OneWay)},
 			{Name: "update_batches", Value: float64(m.UpdateBatches)},
 			{Name: "batched_updates", Value: float64(m.BatchedUpdates)},
 			{Name: "calls", Value: float64(m.Calls)},
@@ -84,7 +82,6 @@ type ServerMetrics struct {
 	ConnsRejected uint64 // connections refused over MaxConns
 	FrameErrors   uint64 // frames rejected by the payload cap
 	Nacks         uint64 // acked stores refused over capacity
-	OverloadDrops uint64 // one-way stores dropped over capacity
 	IdleDrops     uint64 // sessions closed by IdleTimeout
 	Resets        uint64 // owner resets served
 	ResetLines    uint64 // lines purged by owner resets
@@ -112,7 +109,6 @@ func (s *Server) Metrics() ServerMetrics {
 		ConnsRejected: s.connsRejected,
 		FrameErrors:   s.frameErrors,
 		Nacks:         s.nacks,
-		OverloadDrops: s.overloadDrops,
 		IdleDrops:     s.idleDrops,
 		Resets:        s.resets,
 		ResetLines:    s.resetLines,
@@ -143,7 +139,6 @@ func (m ServerMetrics) Snapshot(name string) trace.Snapshot {
 			{Name: "conns_rejected", Value: float64(m.ConnsRejected)},
 			{Name: "frame_errors", Value: float64(m.FrameErrors)},
 			{Name: "nacks", Value: float64(m.Nacks)},
-			{Name: "overload_drops", Value: float64(m.OverloadDrops)},
 			{Name: "idle_drops", Value: float64(m.IdleDrops)},
 			{Name: "resets", Value: float64(m.Resets)},
 			{Name: "reset_lines", Value: float64(m.ResetLines)},

@@ -22,10 +22,10 @@ func TestServerMetricsLoopback(t *testing.T) {
 	defer c.Close()
 
 	entries := []Entry{{Key: "a", Count: 1}, {Key: "b", Count: 2}}
-	if err := c.Store(7, entries); err != nil {
+	if err := c.StoreAck(7, entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(7, "a"); err != nil {
+	if err := c.UpdateBatch([]UpdateItem{{Line: 7, Key: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Fetch(7); err != nil {
@@ -123,7 +123,7 @@ func TestServerMetricsConcurrentTraffic(t *testing.T) {
 					t.Errorf("worker %d store %d: %v", w, r, err)
 					return
 				}
-				if err := c.Update(line, "key-001"); err != nil {
+				if err := c.UpdateBatch([]UpdateItem{{Line: line, Key: "key-001"}}); err != nil {
 					t.Errorf("worker %d update %d: %v", w, r, err)
 					return
 				}

@@ -23,7 +23,7 @@ func startServerOptions(t *testing.T, capacity int64, opts ServerOptions) *Serve
 // refused from the header alone — the payload is never read or allocated.
 func TestReadFrameMaxRejectsBeforeAllocation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, OpStore, 3, make([]byte, 100)); err != nil {
+	if err := WriteFrame(&buf, OpStoreAck, 3, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := ReadFrameMax(&buf, 10); !errors.Is(err, ErrFrameTooLarge) {
@@ -35,7 +35,7 @@ func TestReadFrameMaxRejectsBeforeAllocation(t *testing.T) {
 	}
 	// Within the cap, frames pass untouched.
 	buf.Reset()
-	if err := WriteFrame(&buf, OpStore, 3, []byte("ok")); err != nil {
+	if err := WriteFrame(&buf, OpStoreAck, 3, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, payload, err := ReadFrameMax(&buf, 10); err != nil || string(payload) != "ok" {
@@ -54,7 +54,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	// Hand-build a header claiming a 1 GiB payload; send no payload at all.
 	// The server must reject from the header, not wait for (or allocate) it.
 	hdr := make([]byte, frameHeaderBytes)
-	hdr[0] = byte(OpStore)
+	hdr[0] = byte(OpStoreAck)
 	binary.BigEndian.PutUint32(hdr[1:5], 7)
 	binary.BigEndian.PutUint32(hdr[5:9], 1<<30)
 	if _, err := conn.Write(hdr); err != nil {
@@ -187,26 +187,5 @@ func TestStoreAckCapacityNack(t *testing.T) {
 	}
 	if m.HeldBytes != 4*entryMemBytes {
 		t.Errorf("held bytes = %d, want %d", m.HeldBytes, 4*entryMemBytes)
-	}
-}
-
-// TestOneWayStoreOverCapacityCounted: the legacy one-way store is still
-// dropped over capacity (it cannot be refused in-band), but the drop is now
-// visible in the overload counter.
-func TestOneWayStoreOverCapacityCounted(t *testing.T) {
-	s := startServer(t, 2*entryMemBytes)
-	c := dial(t, s, "app0")
-	if err := c.Store(1, entriesN(8)); err != nil {
-		t.Fatal(err) // one-way: the send itself succeeds
-	}
-	if _, err := c.Stat(); err != nil { // same-conn ordering: store processed
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	if m.OverloadDrops != 1 {
-		t.Errorf("OverloadDrops = %d, want 1", m.OverloadDrops)
-	}
-	if m.HeldLines != 0 {
-		t.Errorf("dropped line held anyway: %d lines", m.HeldLines)
 	}
 }

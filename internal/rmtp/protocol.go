@@ -13,10 +13,9 @@ type Op uint8
 // Protocol operations.
 const (
 	OpHello Op = 1 // payload: owner name
-	OpStore Op = 2 // payload: entries (one-way)
-	// Op 3 (a retired destructive fetch) stays unassigned so a frame from an
-	// old peer is still an unknown op that drops its connection.
-	OpUpdate  Op = 4 // payload: key (one-way)
+	// Ops 2, 3 and 4 (a retired one-way store, destructive fetch and lone
+	// update) stay unassigned so a frame from an old peer is still an unknown
+	// op that drops its connection.
 	OpMigrate Op = 5 // payload: dest address + line list; reply OpOK moved list
 	OpStat    Op = 6 // payload: empty; reply OpOK stats
 	// OpFetchHold is a non-destructive fetch: the server replies with the
@@ -28,9 +27,9 @@ const (
 	// OpRelease acknowledges a held fetch: the server deletes the leased
 	// copy. Idempotent — releasing a line that is not held is OpOK too.
 	OpRelease Op = 8 // payload: empty; reply OpOK
-	// OpStoreAck is OpStore with a reply: OpOK on acceptance, or an OpErr
-	// capacity NACK when the store would exceed the server's memory budget,
-	// so the client can divert to a fallback tier instead of silently losing
+	// OpStoreAck stores a line's entries and replies: OpOK on acceptance, or
+	// an OpErr capacity NACK when the store would exceed the server's memory
+	// budget, so the client can divert to a fallback tier instead of losing
 	// the line.
 	OpStoreAck Op = 9 // payload: entries; reply OpOK or OpErr
 	// OpReset purges every line (held, leased, or forwarded) of the calling
@@ -40,9 +39,9 @@ const (
 	// Idempotent — resetting an owner with no lines is OpOK with count 0.
 	OpReset Op = 10 // payload: empty; reply OpOK purged-line count (uvarint)
 	// OpUpdateBatch carries many one-way count updates, possibly for many
-	// lines, in a single frame: the coalesced form of OpUpdate. The frame's
+	// lines, in a single frame: the protocol's only update op. The frame's
 	// line field is unused (0); each item names its own line. Items for
-	// absent lines are dropped, exactly as a lone OpUpdate would be.
+	// absent lines are dropped.
 	OpUpdateBatch Op = 11 // payload: update items (one-way)
 	OpOK          Op = 16 // reply payload depends on request
 	OpErr         Op = 17 // reply payload: error message

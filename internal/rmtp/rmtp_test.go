@@ -39,14 +39,14 @@ func entriesN(n int) []Entry {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello world")
-	if err := WriteFrame(&buf, OpStore, 42, payload); err != nil {
+	if err := WriteFrame(&buf, OpStoreAck, 42, payload); err != nil {
 		t.Fatal(err)
 	}
 	op, line, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != OpStore || line != 42 || !bytes.Equal(got, payload) {
+	if op != OpStoreAck || line != 42 || !bytes.Equal(got, payload) {
 		t.Errorf("round trip: op=%d line=%d payload=%q", op, line, got)
 	}
 }
@@ -113,7 +113,7 @@ func TestStoreFetchOverLoopback(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "node-0")
 	want := entriesN(5)
-	if err := c.Store(7, want); err != nil {
+	if err := c.StoreAck(7, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Fetch(7)
@@ -140,15 +140,15 @@ func TestStoreFetchOverLoopback(t *testing.T) {
 func TestUpdateAccumulatesRemotely(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "node-0")
-	if err := c.Store(3, []Entry{{Key: "a"}, {Key: "b"}}); err != nil {
+	if err := c.StoreAck(3, []Entry{{Key: "a"}, {Key: "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := c.Update(3, "b"); err != nil {
+		if err := c.UpdateBatch([]UpdateItem{{Line: 3, Key: "b"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Update(3, "missing"); err != nil {
+	if err := c.UpdateBatch([]UpdateItem{{Line: 3, Key: "missing"}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Fetch(3)
@@ -168,10 +168,10 @@ func TestOwnersAreNamespaced(t *testing.T) {
 	s := startServer(t, 0)
 	a := dial(t, s, "node-a")
 	b := dial(t, s, "node-b")
-	if err := a.Store(1, []Entry{{Key: "from-a"}}); err != nil {
+	if err := a.StoreAck(1, []Entry{{Key: "from-a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Store(1, []Entry{{Key: "from-b"}}); err != nil {
+	if err := b.StoreAck(1, []Entry{{Key: "from-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.Fetch(1)
@@ -189,7 +189,7 @@ func TestMigrationBetweenServers(t *testing.T) {
 	s2 := startServer(t, 0)
 	c := dial(t, s1, "node-0")
 	for line := int32(0); line < 10; line++ {
-		if err := c.Store(line, entriesN(3)); err != nil {
+		if err := c.StoreAck(line, entriesN(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,6 +220,33 @@ func TestMigrationBetweenServers(t *testing.T) {
 	if _, err := c.Fetch(5); err == nil {
 		t.Error("source served a migrated line")
 	}
+
+	// A destination with room for one line only: migration stops at the
+	// first refused line, which stays at the source and is not reported moved.
+	small := startServer(t, 3*entryMemBytes)
+	want := entriesN(3)
+	for line := int32(20); line < 22; line++ {
+		if err := c.StoreAck(line, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved, err = c.Migrate(small.Addr(), []int32{20, 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) != 1 || moved[0] != 20 {
+		t.Fatalf("moved %v to a one-line destination, want [20]", moved)
+	}
+	if occ := small.Occupancy(); occ.Lines != 1 {
+		t.Errorf("small destination holds %d lines, want 1", occ.Lines)
+	}
+	got, err = c.Fetch(21)
+	if err != nil {
+		t.Fatalf("refused line left the source: %v", err)
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[2] != want[2] {
+		t.Errorf("refused line fetched %v, stored %v", got, want)
+	}
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -239,7 +266,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for line := int32(0); line < linesEach; line++ {
-				if err := c.Store(line, entriesN(4)); err != nil {
+				if err := c.StoreAck(line, entriesN(4)); err != nil {
 					errs <- err
 					return
 				}
@@ -280,7 +307,7 @@ func TestHelloRequired(t *testing.T) {
 func TestStat(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "node-0")
-	if err := c.Store(1, entriesN(10)); err != nil {
+	if err := c.StoreAck(1, entriesN(10)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stat()

@@ -81,7 +81,7 @@ func TestClientSurvivesServerKilledMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Store(1, []Entry{{Key: "a", Count: 1}}); err != nil {
+	if err := cl.StoreAck(1, []Entry{{Key: "a", Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Stat(); err != nil {
@@ -196,8 +196,8 @@ func TestCloseStaysClosed(t *testing.T) {
 	if _, err := cl.Stat(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stat after Close = %v, want ErrClosed", err)
 	}
-	if err := cl.Store(1, []Entry{{Key: "a", Count: 1}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Store after Close = %v, want ErrClosed", err)
+	if err := cl.StoreAck(1, []Entry{{Key: "a", Count: 1}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("StoreAck after Close = %v, want ErrClosed", err)
 	}
 	if err := cl.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -74,7 +74,6 @@ type Server struct {
 	connsRejected                      uint64 // refused over MaxConns
 	frameErrors                        uint64 // oversized/garbled frames
 	nacks                              uint64 // capacity NACKs (OpStoreAck)
-	overloadDrops                      uint64 // one-way stores dropped over capacity
 	idleDrops                          uint64 // sessions closed by IdleTimeout
 	resets                             uint64 // owner resets served
 	resetLines                         uint64 // lines purged by owner resets
@@ -386,25 +385,6 @@ func (s *Server) storeLocked(key ownerLine, entries []Entry, need int64) {
 func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload []byte) error {
 	key := ownerLine{owner, line}
 	switch op {
-	case OpStore:
-		entries, err := DecodeEntries(payload)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		need := int64(len(entries)) * entryMemBytes
-		if s.capacity > 0 && s.used+need > s.capacity {
-			s.overloadDrops++
-			s.mu.Unlock()
-			// A one-way op cannot be refused in-band; log and drop. Callers
-			// that must not lose lines use OpStoreAck and get a NACK.
-			s.logf("rmtp server: capacity exceeded storing line %d of %s (one-way store dropped)", line, owner)
-			return nil
-		}
-		s.storeLocked(key, entries, need)
-		s.mu.Unlock()
-		return nil
-
 	case OpStoreAck:
 		entries, err := DecodeEntries(payload)
 		if err != nil {
@@ -468,29 +448,11 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 		// after a lost reply does not error.
 		return s.reply(conn, OpOK, line, nil)
 
-	case OpUpdate:
-		k, _, err := DecodeString(payload)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if entries, ok := s.lines[key]; ok {
-			s.updates++
-			for i := range entries {
-				if entries[i].Key == k {
-					entries[i].Count++
-					break
-				}
-			}
-		}
-		s.mu.Unlock()
-		return nil
-
 	case OpUpdateBatch:
 		// Apply a coalesced frame of updates in one lock acquisition. Each
 		// item names its own line; items for absent (e.g. since-fetched or
-		// migrated) lines are dropped, as a lone OpUpdate would be. The
-		// string(kb) comparison below does not allocate.
+		// migrated) lines are dropped. The string(kb) comparison below does
+		// not allocate.
 		s.mu.Lock()
 		err := DecodeUpdateBatchFunc(payload, func(ln int32, kb []byte) {
 			entries, ok := s.lines[ownerLine{owner, ln}]
@@ -557,9 +519,12 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 	}
 }
 
-// migrate pushes the owner's listed lines to the destination server. Leased
-// lines are skipped: the owner has already fetched them, and moving the
-// leased copy would hand the destination a line its owner believes released.
+// migrate pushes the owner's listed lines to the destination server with
+// acked stores and returns the lines that moved. It stops at the first line
+// the destination refuses (capacity NACK or a failed exchange): that line and
+// the rest stay here, still served to their owner. Leased lines are skipped:
+// the owner has already fetched them, and moving the leased copy would hand
+// the destination a line its owner believes released.
 func (s *Server) migrate(owner, dest string, lines []int32) ([]int32, error) {
 	if dest == "" {
 		return nil, errors.New("empty migration destination")
@@ -581,8 +546,9 @@ func (s *Server) migrate(owner, dest string, lines []int32) ([]int32, error) {
 		if !ok {
 			continue
 		}
-		if err := cl.Store(line, entries); err != nil {
-			return moved, fmt.Errorf("storing line %d at %s: %w", line, dest, err)
+		if err := cl.StoreAck(line, entries); err != nil {
+			s.logf("rmtp server: %s: migration to %s stopped at line %d: %v", owner, dest, line, err)
+			break
 		}
 		s.mu.Lock()
 		delete(s.lines, key)
