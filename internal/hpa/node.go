@@ -536,16 +536,14 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 	}
 
 	// Phase C: collect counts, determine large locally, merge globally.
-	entries, err := table.Collect(p)
+	entries, err := table.Collect(p, res.MinCount)
 	if err != nil {
 		return false, err
 	}
 	var ls largeSet
 	for _, e := range entries {
-		if int(e.Count) >= res.MinCount {
-			ls.Sets = append(ls.Sets, itemset.FromKey(e.Key))
-			ls.Counts = append(ls.Counts, int(e.Count))
-		}
+		ls.Sets = append(ls.Sets, itemset.FromKey(e.Key))
+		ls.Counts = append(ls.Counts, int(e.Count))
 	}
 	gathered, err := coord.GatherAll(p, e2, ls, len(ls.Sets)*largeWireBytesPerKB)
 	if err != nil {

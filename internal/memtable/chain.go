@@ -51,6 +51,28 @@ func (f *FallbackPager) FetchIn(p transport.Proc, line int, loc Location) ([]Ent
 	return f.Secondary.FetchIn(p, line, loc)
 }
 
+// FetchAll forwards the lines at Node >= 0 to Primary in one sweep when
+// Primary is a BulkFetcher, and fetches the rest one at a time by tier.
+func (f *FallbackPager) FetchAll(p transport.Proc, lines []Swapped, got func(line int, entries []Entry)) error {
+	bulk, ok := f.Primary.(BulkFetcher)
+	var primary []Swapped
+	for _, sl := range lines {
+		if ok && sl.Loc.Node >= 0 {
+			primary = append(primary, sl)
+			continue
+		}
+		entries, err := f.FetchIn(p, sl.Line, sl.Loc)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", sl.Line, err)
+		}
+		got(sl.Line, entries)
+	}
+	if len(primary) == 0 {
+		return nil
+	}
+	return bulk.FetchAll(p, primary, got)
+}
+
 // Update routes by the location's tier.
 func (f *FallbackPager) Update(p transport.Proc, line int, loc Location, key string) error {
 	if loc.Node >= 0 {

@@ -17,8 +17,20 @@
 //     faults absent lines back on access, §4.3; RemoteUpdate pins them
 //     remotely and sends one-way increments, §4.4), plus the optional
 //     trace recorder and node id for event attribution.
-//   - Pager: the interface to the swap device (StoreOut, FetchIn, Update);
-//     implemented by remotemem.Client and disk.SwapPager.
+//   - Pager: the interface to the swap device (StoreOut, FetchIn, Update).
+//     Implemented by remotemem.Client (the simulated remote memory),
+//     disk.SwapPager (the simulated swap disk), remotemem.TCPPager (real
+//     rmserverd processes over TCP), FilePager (a local spill file) and
+//     FallbackPager (a remote tier that diverts refused stores to a disk
+//     tier).
+//   - BulkFetcher: an optional pager interface (FetchAll) that brings many
+//     swapped-out lines home in one sweep. TCPPager implements it with
+//     pipelined fetch windows; FallbackPager forwards its remote tier's
+//     lines to its primary's FetchAll.
+//   - Collect(p, minCount): the end of a counting pass. It faults every
+//     swapped-out line home — through FetchAll when the pager has it, one
+//     FetchIn per line otherwise — and returns only the entries whose count
+//     reached minCount, in line order.
 //   - Stats: cumulative evictions, pagefaults, and updates, read by the
 //     result tables and sampled as gauges by the tracer.
 //

@@ -131,7 +131,7 @@ func TestAllEvictionPoliciesPreserveCounts(t *testing.T) {
 				}
 				oracle[key(li)]++
 			}
-			entries, err := tab.Collect(p)
+			entries, err := tab.Collect(p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

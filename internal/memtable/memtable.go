@@ -94,6 +94,22 @@ type Pager interface {
 	Update(p transport.Proc, line int, loc Location, key string) error
 }
 
+// Swapped names one swapped-out line and where it lives.
+type Swapped struct {
+	Line int
+	Loc  Location
+}
+
+// BulkFetcher is implemented by pagers that bring many swapped-out lines
+// home in one sweep rather than one round trip per line. Collect uses it
+// when the pager has it.
+type BulkFetcher interface {
+	// FetchAll retrieves the listed lines, releasing their remote/disk
+	// copies, and hands each one's entries to got, in any order. It returns
+	// the first line's failure; a line that failed is not handed to got.
+	FetchAll(p transport.Proc, lines []Swapped, got func(line int, entries []Entry)) error
+}
+
 // Resetter is implemented by pagers that can discard every stored line at
 // once. Recovery rolls an interrupted pass back and rebuilds its table from
 // scratch, so lines the aborted attempt left in remote or disk storage must
@@ -455,11 +471,27 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 	return nil
 }
 
-// Collect returns every entry in the table, faulting in any swapped-out
-// lines (for RemoteUpdate lines this retrieves the remotely accumulated
-// counts). It runs at the end of the counting phase; resident accounting may
-// transiently exceed the limit since no further evictions are useful.
-func (t *Table) Collect(p transport.Proc) ([]Entry, error) {
+// Collect returns the table's entries whose count is at least minCount (0
+// returns them all), in line order and insertion order within a line. It
+// first faults in every swapped-out line (for RemoteUpdate lines this
+// retrieves the remotely accumulated counts), in one sweep when the pager is
+// a BulkFetcher and one fetch per line otherwise. It runs at the end of the
+// counting phase; resident accounting may transiently exceed the limit since
+// no further evictions are useful.
+func (t *Table) Collect(p transport.Proc, minCount int) ([]Entry, error) {
+	if bf, ok := t.pager.(BulkFetcher); ok {
+		var swapped []Swapped
+		for i := range t.lines {
+			if t.lines[i].state == stateOut {
+				swapped = append(swapped, Swapped{Line: i, Loc: t.lines[i].loc})
+			}
+		}
+		if len(swapped) > 0 {
+			if err := bf.FetchAll(p, swapped, t.admit); err != nil {
+				return nil, fmt.Errorf("memtable: collect: %w", err)
+			}
+		}
+	}
 	var out []Entry
 	for i := range t.lines {
 		l := &t.lines[i]
@@ -468,16 +500,29 @@ func (t *Table) Collect(p transport.Proc) ([]Entry, error) {
 			if err != nil {
 				return nil, fmt.Errorf("memtable: collect line %d: %w", i, err)
 			}
-			l.state = stateResident
-			l.flat = flatFromEntries(entries)
-			l.bytes = int64(len(entries)) * t.cfg.EntryBytes
-			t.resident += l.bytes
-			t.lruPushFront(int32(i))
-			t.stats.Pagefaults++
+			t.admit(i, entries)
 		}
-		out = append(out, flatEntries(&l.flat)...)
+		for j := 0; j < l.flat.Len(); j++ {
+			if c := l.flat.Count(j); int(c) >= minCount {
+				out = append(out, Entry{Key: l.flat.Key(j), Count: c})
+			}
+		}
 	}
 	return out, nil
+}
+
+// admit makes a line Collect fetched resident, counting it as a pagefault.
+func (t *Table) admit(i int, entries []Entry) {
+	l := &t.lines[i]
+	if l.state != stateOut {
+		return
+	}
+	l.state = stateResident
+	l.flat = flatFromEntries(entries)
+	l.bytes = int64(len(entries)) * t.cfg.EntryBytes
+	t.resident += l.bytes
+	t.lruPushFront(int32(i))
+	t.stats.Pagefaults++
 }
 
 // flatEntries converts a flat line to the pager's []Entry form, preserving

@@ -95,7 +95,7 @@ func TestInsertAndProbeUnlimited(t *testing.T) {
 				}
 			}
 		}
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestLimitTriggersEvictionAndFaults(t *testing.T) {
 		if tab.Stats().Pagefaults != before+1 {
 			t.Error("probe of evicted line did not fault")
 		}
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestRemoteUpdatePolicyPinsLines(t *testing.T) {
 			t.Errorf("pager saw %d updates, want 5", pager.updates)
 		}
 		// Collect must retrieve the remotely accumulated count.
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		must(err)
 		counts := map[string]int32{}
 		for _, e := range entries {
@@ -228,7 +228,7 @@ func TestProbeMissIsNotCounted(t *testing.T) {
 		if err := tab.Probe(p, 0, "absent"); err != nil {
 			t.Fatal(err)
 		}
-		entries, _ := tab.Collect(p)
+		entries, _ := tab.Collect(p, 0)
 		if len(entries) != 1 || entries[0].Count != 0 {
 			t.Errorf("miss mutated table: %+v", entries)
 		}
@@ -301,7 +301,7 @@ func TestResidentNeverExceedsLimitDuringCounting(t *testing.T) {
 				t.Fatalf("step %d: resident %d > limit %d", step, tab.ResidentBytes(), limit)
 			}
 		}
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestCountsIdenticalAcrossPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			entries, err := tab.Collect(p)
+			entries, err := tab.Collect(p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +372,7 @@ func TestMultiEntryLines(t *testing.T) {
 				}
 			}
 		}
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 				return nil, stats, err
 			}
 		}
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, minCount)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -117,10 +117,8 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 
 		var large []itemset.Itemset
 		for _, e := range entries {
-			if int(e.Count) >= minCount {
-				large = append(large, itemset.FromKey(e.Key))
-				res.Support[e.Key] = int(e.Count)
-			}
+			large = append(large, itemset.FromKey(e.Key))
+			res.Support[e.Key] = int(e.Count)
 		}
 		sort.Slice(large, func(i, j int) bool { return large[i].Less(large[j]) })
 		res.Passes = append(res.Passes, apriori.PassStats{K: k, Candidates: len(cands), Large: len(large)})

@@ -29,7 +29,11 @@
 // The simulated Client sends the paper's one UpdateMsg per increment, by
 // design: the Table-4 calibration and the golden traces rest on it.
 // TCPPager, the real-TCP pager, has one update path too: it coalesces
-// increments per server into rmtp OpUpdateBatch frames.
+// increments per server into rmtp OpUpdateBatch frames. It also implements
+// memtable.BulkFetcher: at the end of a counting pass it brings every
+// swapped-out line home in pipelined windows (rmtp FetchMany), verifying
+// each against its shadow exactly as a single fetch is verified. The
+// simulated Client keeps one fetch per pagefault, the paper's cost model.
 //
 // Store, Monitor, and Client all accept an optional trace.Recorder; when
 // attached, store/fetch/update service times, availability reports,

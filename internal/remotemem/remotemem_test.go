@@ -274,7 +274,7 @@ func TestMigrationMovesLinesAndRelocates(t *testing.T) {
 			}
 		}
 		p.Sleep(100 * sim.Millisecond)
-		entries, err := tab.Collect(p)
+		entries, err := tab.Collect(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

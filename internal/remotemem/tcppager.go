@@ -63,7 +63,10 @@ type tcpLine struct {
 //     shadow: a reply on the same connection epoch as the line's last write
 //     must match the shadow exactly (TCP ordering proves every one-way
 //     landed); an epoch change taints the line and the shadow wins; a failed
-//     fetch falls back to the shadow outright.
+//     fetch falls back to the shadow outright. FetchAll (memtable's
+//     BulkFetcher) fetches many lines per server in pipelined windows
+//     (rmtp FetchMany), each line through the same checks; FetchIn is
+//     FetchAll of one line.
 //
 // Shadows are local memory held outside the table's LimitBytes budget, and
 // only lines this pager stored can be updated or fetched: an unknown line is
@@ -334,45 +337,76 @@ func (tp *TCPPager) sendBatch(server int, items []rmtp.UpdateItem) {
 	}
 }
 
-// FetchIn retrieves a line (lease-then-delete on the wire), verifying the
-// remote copy against the shadow and recovering from the shadow when the
-// remote copy failed, went stale, or cannot be trusted.
+// FetchIn retrieves one line: FetchAll of that line.
 func (tp *TCPPager) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]memtable.Entry, error) {
-	tp.mu.Lock()
-	st, ok := tp.lines[line]
-	if !ok {
-		tp.mu.Unlock()
-		return nil, fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, line)
-	}
-	server := st.server
-	tp.mu.Unlock()
+	var entries []memtable.Entry
+	err := tp.FetchAll(p, []memtable.Swapped{{Line: line, Loc: loc}}, func(_ int, e []memtable.Entry) { entries = e })
+	return entries, err
+}
 
-	// Ship any queued updates for this server first: the connection is FIFO
-	// and the server serial, so they are applied before the fetch is served
-	// and the reply matches the shadow. The flush itself may taint the line.
-	tp.flushServer(server)
-
+// FetchAll brings lines home in one pipelined sweep per server (rmtp
+// FetchMany: windowed lease-then-delete), verifying each remote copy against
+// its shadow and recovering from the shadow when the remote copy failed,
+// went stale, or cannot be trusted. got receives every line that lands; the
+// first line that fails verification is returned as the error after the
+// sweep.
+func (tp *TCPPager) FetchAll(p transport.Proc, lines []memtable.Swapped, got func(line int, entries []memtable.Entry)) error {
 	tp.mu.Lock()
-	if st.tainted {
-		delete(tp.lines, line)
-		tp.stats.Recoveries++
-		shadow := st.shadow
-		tp.mu.Unlock()
-		// Best-effort: release the stale remote copy so it stops holding
-		// server capacity. Its contents are ignored.
-		tp.clients[server].Fetch(int32(line))
-		return shadow, nil
+	byServer := make([][]int32, len(tp.clients))
+	for _, sl := range lines {
+		st, ok := tp.lines[sl.Line]
+		if !ok {
+			tp.mu.Unlock()
+			return fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, sl.Line)
+		}
+		byServer[st.server] = append(byServer[st.server], int32(sl.Line))
 	}
 	tp.mu.Unlock()
 
-	entries, err := tp.clients[server].Fetch(int32(line))
+	var first error
+	for server, ids := range byServer {
+		if len(ids) == 0 {
+			continue
+		}
+		// Ship any queued updates for this server first: the connection is
+		// FIFO and the server serial, so they are applied before the fetches
+		// are served and the replies match the shadows. The flush itself may
+		// taint lines.
+		tp.flushServer(server)
+		tp.clients[server].FetchMany(ids, func(line int32, wire []rmtp.Entry, err error) {
+			entries, err := tp.land(server, int(line), wire, err)
+			if err != nil {
+				if first == nil {
+					first = err
+				}
+				return
+			}
+			got(int(line), entries)
+		})
+	}
+	return first
+}
 
+// land settles one fetched line and forgets it. A tainted line is served
+// from its shadow (its remote copy, fetched only to release it, is ignored),
+// and so is one whose remote fetch failed. Otherwise the remote copy must
+// come from the connection epoch of the line's last write and equal the
+// shadow.
+func (tp *TCPPager) land(server, line int, wire []rmtp.Entry, fetchErr error) ([]memtable.Entry, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
+	st, ok := tp.lines[line]
+	if !ok {
+		return nil, fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, line)
+	}
 	delete(tp.lines, line)
-	if err != nil {
+	if st.tainted {
 		tp.stats.Recoveries++
-		tp.logf("remotemem: %s: line %d recovered from shadow: remote fetch: %v", tp.owner, line, err)
+		return st.shadow, nil
+	}
+	if fetchErr != nil {
+		tp.stats.Recoveries++
+		tp.logf("remotemem: %s: line %d recovered from shadow: remote fetch: %v", tp.owner, line, fetchErr)
 		return st.shadow, nil
 	}
 	tp.stats.Fetches++
@@ -383,11 +417,11 @@ func (tp *TCPPager) FetchIn(p transport.Proc, line int, loc memtable.Location) (
 		tp.logf("remotemem: %s: line %d: connection epoch changed since last write; using shadow", tp.owner, line)
 		return st.shadow, nil
 	}
-	got := fromWire(entries)
+	got := fromWire(wire)
 	if !tcpEntriesEqual(got, st.shadow) {
 		tp.stats.Mismatches++
 		tp.logf("remotemem: %s: line %d: verified fetch DIFFERS from shadow — transport bug", tp.owner, line)
-		return st.shadow, fmt.Errorf("remotemem: %s: line %d diverged from shadow on a verified fetch", tp.owner, line)
+		return nil, fmt.Errorf("remotemem: %s: line %d diverged from shadow on a verified fetch", tp.owner, line)
 	}
 	tp.stats.VerifiedFetches++
 	return got, nil
@@ -487,6 +521,7 @@ func tcpEntriesEqual(a, b []memtable.Entry) bool {
 }
 
 var (
-	_ memtable.Pager    = (*TCPPager)(nil)
-	_ memtable.Resetter = (*TCPPager)(nil)
+	_ memtable.Pager       = (*TCPPager)(nil)
+	_ memtable.BulkFetcher = (*TCPPager)(nil)
+	_ memtable.Resetter    = (*TCPPager)(nil)
 )

@@ -1,6 +1,7 @@
 package remotemem_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -283,4 +284,143 @@ func TestTCPPagerDialFailureCleansUp(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestTCPPagerFetchAllSurvivesCutMidWindow: the connection is cut while a
+// window of fetch replies is in flight. The retried window re-serves the
+// leased lines on a new connection, so no line is lost: every line comes
+// back equal to its shadow, and the server ends holding nothing.
+func TestTCPPagerFetchAllSurvivesCutMidWindow(t *testing.T) {
+	srv := startServer(t)
+	px := startProxy(t, srv.Addr())
+	tp := newPager(t, "cut", px.Addr())
+	p := transport.NewRealProc()
+
+	const nLines = 20
+	stored := make([][]memtable.Entry, nLines)
+	wireBytes := 0
+	for line := range stored {
+		for k := 0; k < 40; k++ {
+			stored[line] = append(stored[line], memtable.Entry{Key: fmt.Sprintf("line%03d-key%012d", line, k), Count: int32(k)})
+		}
+		wireBytes += 9 + len(rmtp.EncodeEntries(toWire(stored[line])))
+	}
+	// The meter starts now: the stores carry about wireBytes up, so the cut
+	// lands about half-way through the fetch replies coming down. The retried
+	// window's connection carries less than the cut and is not cut.
+	px.SetFaults(chaos.Faults{CutAfterBytes: int64(wireBytes * 3 / 2)})
+	var lines []memtable.Swapped
+	for line, entries := range stored {
+		loc, err := tp.StoreOut(p, line, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, memtable.Swapped{Line: line, Loc: loc})
+	}
+
+	got := make(map[int][]memtable.Entry)
+	err := tp.FetchAll(p, lines, func(line int, entries []memtable.Entry) { got[line] = entries })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cuts := px.Stats().Cuts; cuts != 1 {
+		t.Fatalf("proxy cut %d connections, want 1", cuts)
+	}
+	if len(got) != nLines {
+		t.Fatalf("%d lines came back, want %d", len(got), nLines)
+	}
+	for line, want := range stored {
+		if !equalEntries(got[line], want) {
+			t.Errorf("line %d: %v, want the shadow %v", line, got[line], want)
+		}
+	}
+	if m := tp.ClientMetrics(); m.Retries == 0 {
+		t.Error("no retry: the cut did not land inside the window")
+	}
+	if st := tp.Stats(); st.Recoveries != 0 || st.Mismatches != 0 || st.Fetches != nLines {
+		t.Errorf("stats = %+v, want %d remote fetches and no shadow recovery", st, nLines)
+	}
+	if m := srv.Metrics(); m.HeldLines != 0 || m.LeasedLines != 0 || m.Releases != nLines {
+		t.Errorf("server: %d held / %d leased / %d releases, want 0/0/%d", m.HeldLines, m.LeasedLines, m.Releases, nLines)
+	}
+}
+
+// TestTCPPagerFetchAllCountsLikeFetchIn: one batch holds a line whose update
+// frame fails to send (tainted, served from the shadow), a line whose
+// connection turned over since its write (epoch change), and a clean line on
+// another server. FetchAll counts taints, recoveries and verified fetches
+// exactly as fetching the same lines one by one with FetchIn does, and
+// returns the same entries.
+func TestTCPPagerFetchAllCountsLikeFetchIn(t *testing.T) {
+	run := func(bulk bool) (remotemem.TCPPagerStats, map[int][]memtable.Entry) {
+		far := startServer(t)
+		near := startServer(t)
+		px := startProxy(t, far.Addr())
+		tp := newPager(t, "batch", px.Addr(), near.Addr())
+		p := transport.NewRealProc()
+		var lines []memtable.Swapped
+		for line := 0; line < 3; line++ { // round robin: 0 far, 1 near, 2 far
+			loc, err := tp.StoreOut(p, line, []memtable.Entry{{Key: "k", Count: int32(line)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, memtable.Swapped{Line: line, Loc: loc})
+		}
+		px.ResetAll()
+		if err := tp.Update(p, 0, lines[0].Loc, "k"); err != nil { // its frame will fail
+			t.Fatal(err)
+		}
+		got := make(map[int][]memtable.Entry)
+		if bulk {
+			if err := tp.FetchAll(p, lines, func(line int, e []memtable.Entry) { got[line] = e }); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, sl := range lines {
+				e, err := tp.FetchIn(p, sl.Line, sl.Loc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[sl.Line] = e
+			}
+		}
+		if held := far.Metrics().HeldLines + near.Metrics().HeldLines; held != 0 {
+			t.Errorf("bulk=%v: servers still hold %d lines", bulk, held)
+		}
+		return tp.Stats(), got
+	}
+	perLine, perLineGot := run(false)
+	bulk, bulkGot := run(true)
+	if perLine.Taints != 2 || perLine.Recoveries != 1 || perLine.VerifiedFetches != 1 {
+		t.Fatalf("per-line stats = %+v, want 2 taints, 1 recovery, 1 verified fetch", perLine)
+	}
+	if bulk != perLine {
+		t.Errorf("FetchAll stats = %+v, FetchIn stats = %+v", bulk, perLine)
+	}
+	want := map[int]int32{0: 1, 1: 1, 2: 2}
+	for line, count := range want {
+		if !equalEntries(bulkGot[line], perLineGot[line]) || len(bulkGot[line]) != 1 || bulkGot[line][0].Count != count {
+			t.Errorf("line %d: FetchAll %v, FetchIn %v, want count %d", line, bulkGot[line], perLineGot[line], count)
+		}
+	}
+}
+
+func equalEntries(a, b []memtable.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func toWire(entries []memtable.Entry) []rmtp.Entry {
+	out := make([]rmtp.Entry, len(entries))
+	for i, e := range entries {
+		out[i] = rmtp.Entry{Key: e.Key, Count: e.Count}
+	}
+	return out
 }

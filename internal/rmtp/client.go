@@ -303,45 +303,66 @@ func (c *Client) send(op Op, line int32, payload []byte) error {
 	return nil
 }
 
-// callLocked writes one frame and reads the matching reply. Any transport
-// error — including a reply for the wrong line, which means the stream is
-// desynchronized — closes the connection: a later operation reconnects
-// rather than reading a stale reply (silent corruption).
-func (c *Client) callLocked(op Op, line int32, payload []byte) (Op, []byte, error) {
+// exchangeLocked writes one request frame per line back to back, all with
+// the same payload, and reads the replies in order, handing each to reply.
+// One line is a plain request/reply; many are a pipelined window, answered
+// by the server in one write. Any transport error — including a reply for
+// the wrong line, which means the stream is desynchronized — closes the
+// connection: a later operation reconnects rather than reading a stale reply
+// (silent corruption).
+func (c *Client) exchangeLocked(op Op, lines []int32, payload []byte, reply func(i int, rop Op, rpayload []byte)) error {
 	start := time.Now()
 	if err := c.breakerAllowLocked(); err != nil {
-		return 0, nil, err
+		return err
 	}
 	if err := c.ensureLocked(); err != nil {
 		if !errors.Is(err, ErrClosed) {
 			c.failLocked()
 		}
-		return 0, nil, err
+		return err
 	}
 	if err := c.conn.SetDeadline(c.deadline()); err != nil {
 		c.failLocked()
-		return 0, nil, err
+		return err
 	}
-	if err := WriteFrame(c.bw, op, line, payload); err != nil {
-		c.failLocked()
-		return 0, nil, err
+	for _, line := range lines {
+		if err := WriteFrame(c.bw, op, line, payload); err != nil {
+			c.failLocked()
+			return err
+		}
 	}
 	if err := c.bw.Flush(); err != nil {
 		c.failLocked()
-		return 0, nil, err
+		return err
 	}
-	rop, rline, rpayload, err := ReadFrame(c.br)
-	if err != nil {
-		c.failLocked()
-		return 0, nil, err
-	}
-	if rline != line {
-		c.failLocked()
-		return 0, nil, fmt.Errorf("rmtp: reply for line %d, want %d (connection desynchronized, closed)", rline, line)
+	for i, line := range lines {
+		if i > 0 && c.opts.Timeout > 0 {
+			// Each reply gets the full timeout after the one before it.
+			if err := c.conn.SetReadDeadline(c.deadline()); err != nil {
+				c.failLocked()
+				return err
+			}
+		}
+		rop, rline, rpayload, err := ReadFrame(c.br)
+		if err != nil {
+			c.failLocked()
+			return err
+		}
+		if rline != line {
+			c.failLocked()
+			return fmt.Errorf("rmtp: reply for line %d, want %d (connection desynchronized, closed)", rline, line)
+		}
+		c.observeCallLocked(start, len(payload), len(rpayload))
+		reply(i, rop, rpayload)
 	}
 	c.noteSuccessLocked()
-	c.observeCallLocked(start, len(payload), len(rpayload))
-	return rop, rpayload, nil
+	return nil
+}
+
+// callLocked runs one request/reply exchange.
+func (c *Client) callLocked(op Op, line int32, payload []byte) (rop Op, rpayload []byte, err error) {
+	err = c.exchangeLocked(op, []int32{line}, payload, func(_ int, o Op, b []byte) { rop, rpayload = o, b })
+	return rop, rpayload, err
 }
 
 // call runs one request/reply exchange without retries.
@@ -349,6 +370,16 @@ func (c *Client) call(op Op, line int32, payload []byte) (Op, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.callLocked(op, line, payload)
+}
+
+// callRetried runs one request/reply exchange under callIdempotent.
+func (c *Client) callRetried(op Op, line int32, payload []byte) (rop Op, rpayload []byte, err error) {
+	err = c.callIdempotent(op, func() error {
+		var err error
+		rop, rpayload, err = c.callLocked(op, line, payload)
+		return err
+	})
+	return rop, rpayload, err
 }
 
 // backoffLocked returns the pause before retry `attempt` (1-based):
@@ -376,14 +407,14 @@ func (c *Client) backoffLocked(attempt int) time.Duration {
 	return d
 }
 
-// callIdempotent retries a request/reply exchange on transport errors,
-// reconnecting between attempts with jittered exponential backoff. Only safe
-// for operations whose duplicate execution is harmless. The lock is held per
-// attempt, never across a backoff sleep, so concurrent operations and
-// Close proceed while a retry sequence waits; Close ends the sequence at
+// callIdempotent runs exchange (with c.mu held) and re-runs it on transport
+// errors, reconnecting between attempts with jittered exponential backoff.
+// Only safe for exchanges whose duplicate execution is harmless. The lock is
+// held per attempt, never across a backoff sleep, so concurrent operations
+// and Close proceed while a retry sequence waits; Close ends the sequence at
 // its next attempt (ErrClosed). A configured RetryBudget bounds cumulative
 // retries across the client's lifetime; exhaustion surfaces *BudgetError.
-func (c *Client) callIdempotent(op Op, line int32, payload []byte) (Op, []byte, error) {
+func (c *Client) callIdempotent(op Op, exchange func() error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -392,7 +423,7 @@ func (c *Client) callIdempotent(op Op, line int32, payload []byte) (Op, []byte, 
 				c.m.BudgetDenied++
 				spent := c.m.Retries
 				c.mu.Unlock()
-				return 0, nil, &BudgetError{Op: op, Spent: spent, Err: lastErr}
+				return &BudgetError{Op: op, Spent: spent, Err: lastErr}
 			}
 			pause := c.backoffLocked(attempt)
 			c.mu.Unlock()
@@ -404,17 +435,17 @@ func (c *Client) callIdempotent(op Op, line int32, payload []byte) (Op, []byte, 
 		if attempt > 0 {
 			c.m.Retries++
 		}
-		rop, reply, err := c.callLocked(op, line, payload)
+		err := exchange()
 		c.mu.Unlock()
 		if err == nil {
-			return rop, reply, nil
+			return nil
 		}
 		lastErr = err
 		if errors.Is(err, ErrClosed) {
 			break
 		}
 	}
-	return 0, nil, lastErr
+	return lastErr
 }
 
 // encPool recycles payload encode buffers so steady-state traffic (acked
@@ -432,7 +463,7 @@ func putEncBuf(b *[]byte) { encPool.Put(b) }
 func (c *Client) StoreAck(line int32, entries []Entry) error {
 	buf := getEncBuf()
 	*buf = AppendEntries((*buf)[:0], entries)
-	op, payload, err := c.callIdempotent(OpStoreAck, line, *buf)
+	op, payload, err := c.callRetried(OpStoreAck, line, *buf)
 	putEncBuf(buf)
 	if err != nil {
 		return err
@@ -469,7 +500,7 @@ func (c *Client) Pressured() bool {
 // its predecessor's lines are garbage that would otherwise hold server
 // capacity for the rest of the run. Idempotent, retried.
 func (c *Client) Reset() (int, error) {
-	op, payload, err := c.callIdempotent(OpReset, 0, nil)
+	op, payload, err := c.callRetried(OpReset, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -486,36 +517,74 @@ func (c *Client) Reset() (int, error) {
 	return int(purged), nil
 }
 
-// Fetch retrieves a stored line with lease-then-delete semantics: the server
-// keeps the line (leased) until the client acknowledges receipt, so a reply
-// lost to a dead connection is NOT a lost line — the retried fetch serves
-// the same entries again. Only after the entries are safely in hand does the
-// client release the lease; a failed release leaves a stale leased copy on
-// the server (reclaimed when the line is next stored) rather than losing
-// data. This closes the destructive-read hazard of the original protocol
-// (DESIGN §7).
-func (c *Client) Fetch(line int32) ([]Entry, error) {
-	op, payload, err := c.callIdempotent(OpFetchHold, line, nil)
-	if err != nil {
-		return nil, err
+// fetchWindow is how many lines FetchMany leases in one pipelined exchange.
+const fetchWindow = 64
+
+// Fetch retrieves one stored line: FetchMany of that line.
+func (c *Client) Fetch(line int32) (entries []Entry, err error) {
+	c.FetchMany([]int32{line}, func(_ int32, e []Entry, ferr error) { entries, err = e, ferr })
+	return entries, err
+}
+
+// FetchMany retrieves stored lines with lease-then-delete semantics, in
+// pipelined windows of up to fetchWindow lines. For each window it writes the
+// OpFetchHold frames back to back and reads the replies in order; the server
+// keeps every line it served (leased) until the client acknowledges receipt,
+// so a reply lost to a dead connection is NOT a lost line — the window is
+// re-run under the client's retry policy and the server serves the same
+// entries again. Only after a line's entries are decoded does the client
+// release its lease, with the window's OpRelease frames pipelined the same
+// way; a failed release leaves a stale leased copy on the server (reclaimed
+// when the line is next stored) rather than losing data (DESIGN §7).
+//
+// got is called exactly once per line, in order, after its window's
+// release: with the line's entries, or with the error it drew — the server's
+// refusal (an absent or migrated line, which does not abort the window), a
+// malformed reply, or the transport failure that outlasted the retries.
+func (c *Client) FetchMany(lines []int32, got func(line int32, entries []Entry, err error)) {
+	for len(lines) > 0 {
+		win := lines[:min(len(lines), fetchWindow)]
+		lines = lines[len(win):]
+		entries := make([][]Entry, len(win))
+		errs := make([]error, len(win))
+		err := c.callIdempotent(OpFetchHold, func() error {
+			return c.exchangeLocked(OpFetchHold, win, nil, func(i int, op Op, payload []byte) {
+				if op == OpErr {
+					entries[i], errs[i] = nil, fmt.Errorf("rmtp: fetch line %d: %s", win[i], payload)
+					return
+				}
+				entries[i], errs[i] = DecodeEntries(payload)
+			})
+		})
+		if err != nil {
+			for i := range errs {
+				entries[i], errs[i] = nil, err
+			}
+		}
+		// Ack: the entries are safe locally, delete the server's copies.
+		// Release failure is not the caller's problem — the data is already
+		// here — but it is counted, since leaked leases consume server
+		// capacity until the line is re-stored.
+		held := make([]int32, 0, len(win))
+		for i, line := range win {
+			if errs[i] == nil {
+				held = append(held, line)
+			}
+		}
+		if len(held) > 0 {
+			rerr := c.callIdempotent(OpRelease, func() error {
+				return c.exchangeLocked(OpRelease, held, nil, func(int, Op, []byte) {})
+			})
+			if rerr != nil {
+				c.mu.Lock()
+				c.m.ReleaseFailures += uint64(len(held))
+				c.mu.Unlock()
+			}
+		}
+		for i, line := range win {
+			got(line, entries[i], errs[i])
+		}
 	}
-	if op == OpErr {
-		return nil, fmt.Errorf("rmtp: fetch line %d: %s", line, payload)
-	}
-	entries, err := DecodeEntries(payload)
-	if err != nil {
-		return nil, err
-	}
-	// Ack: the entries are safe locally, delete the server's copy. Release
-	// failure is not the caller's problem — the data is already here — but
-	// it is counted, since leaked leases consume server capacity until the
-	// line is re-stored.
-	if _, _, rerr := c.callIdempotent(OpRelease, line, nil); rerr != nil {
-		c.mu.Lock()
-		c.m.ReleaseFailures++
-		c.mu.Unlock()
-	}
-	return entries, nil
 }
 
 // UpdateBatch ships many one-way count increments — possibly spanning many
@@ -558,7 +627,7 @@ func (c *Client) Migrate(dest string, lines []int32) ([]int32, error) {
 
 // Stat queries the server's occupancy (idempotent, retried).
 func (c *Client) Stat() (Stat, error) {
-	op, payload, err := c.callIdempotent(OpStat, 0, nil)
+	op, payload, err := c.callRetried(OpStat, 0, nil)
 	if err != nil {
 		return Stat{}, err
 	}

@@ -12,8 +12,10 @@
 //	[1B op][4B line (big endian)][4B payload length][payload]
 //
 // Strings and entry lists are length-prefixed with uvarints inside the
-// payload. A session starts with OpHello carrying the client's owner id;
-// lines are namespaced per owner, as in the simulated store.
+// payload; a decoder rejects a count that the remaining bytes could not
+// carry before it allocates anything. A session starts with OpHello
+// carrying the client's owner id; lines are namespaced per owner, as in the
+// simulated store.
 //
 // Every write is acked or coalesced: a store is OpStoreAck (request/reply),
 // and count updates travel only in OpUpdateBatch frames, the one one-way op.
@@ -30,11 +32,18 @@
 //     A store over the memory budget draws a capacity NACK (ErrCapacity at
 //     the client). Server-to-server migration stores with acks too and
 //     stops at the first line the destination refuses, which stays put.
+//     Each session answers through a buffered writer, flushed whenever its
+//     read buffer holds no further request: a lone request gets its reply
+//     at once, in one write, and a pipelined window gets one write.
 //   - Client: one connection with reconnect-and-retry for idempotent ops;
-//     StoreAck/Fetch/UpdateBatch/Migrate/Reset/Stat mirror the wire ops. Fetch
-//     uses lease-then-delete (OpFetchHold + OpRelease): the server keeps a
-//     served line until the client acks receipt, so a reply lost to a dead
-//     connection never loses the line. Options add per-op deadlines,
+//     StoreAck/FetchMany/UpdateBatch/Migrate/Reset/Stat mirror the wire ops.
+//     FetchMany uses lease-then-delete (OpFetchHold + OpRelease) in
+//     pipelined windows of 64 lines: the holds go out back to back, the
+//     replies are read in order, and only then are the decoded lines
+//     released, the same way. The server keeps a served line until the
+//     client acks receipt, so a reply lost to a dead connection never loses
+//     the line: the retried window re-serves it. Fetch is FetchMany of one
+//     line. Options add per-op deadlines,
 //     jittered exponential backoff, a cumulative retry budget
 //     (*BudgetError / ErrRetryBudget), and a per-server circuit breaker
 //     that fails fast with ErrCircuitOpen after BreakerThreshold

@@ -129,14 +129,16 @@ func AppendEntries(buf []byte, entries []Entry) []byte {
 	return buf
 }
 
-// DecodeEntries parses an entry list.
+// DecodeEntries parses an entry list. The declared count is bounded by the
+// bytes that follow it (an entry takes at least 2: key length and count), so
+// a short payload claiming millions of entries fails before allocating.
 func DecodeEntries(b []byte) ([]Entry, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
 		return nil, errors.New("rmtp: bad entry count")
 	}
-	if n > maxFrame/2 {
-		return nil, fmt.Errorf("rmtp: implausible entry count %d", n)
+	if n > uint64(len(b)-off)/2 {
+		return nil, fmt.Errorf("rmtp: entry count %d exceeds the %d-byte payload", n, len(b)-off)
 	}
 	out := make([]Entry, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -186,14 +188,15 @@ func EncodeLines(lines []int32) []byte {
 	return buf
 }
 
-// DecodeLines parses a line-id list and returns the rest.
+// DecodeLines parses a line-id list and returns the rest. The declared count
+// is bounded by the bytes that follow it (a line id takes at least 1).
 func DecodeLines(b []byte) ([]int32, []byte, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
 		return nil, nil, errors.New("rmtp: bad line count")
 	}
-	if n > maxFrame/2 {
-		return nil, nil, fmt.Errorf("rmtp: implausible line count %d", n)
+	if n > uint64(len(b)-off) {
+		return nil, nil, fmt.Errorf("rmtp: line count %d exceeds the %d-byte payload", n, len(b)-off)
 	}
 	out := make([]int32, 0, n)
 	for i := uint64(0); i < n; i++ {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -15,6 +16,10 @@ import (
 
 // entryMemBytes mirrors the paper's 24-byte-per-candidate accounting.
 const entryMemBytes = 24
+
+// replyBufBytes sizes a session's reply buffer: a window of fetch replies
+// for typical lines fits, so it goes out in one write.
+const replyBufBytes = 64 << 10
 
 type ownerLine struct {
 	owner string
@@ -287,7 +292,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	// single buffer serves the whole session with no per-frame allocation.
 	br := bufio.NewReader(conn)
 	var rbuf []byte
+	// Replies go through a buffered writer, flushed whenever the read buffer
+	// holds no further request: a lone request is answered at once in one
+	// write, and a pipelined burst is answered in one write for the burst.
+	// The deferred flush sends what an error path replied before closing.
+	bw := bufio.NewWriterSize(conn, replyBufBytes)
+	defer bw.Flush()
 	for {
+		if br.Buffered() == 0 {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+		}
 		var dl time.Time
 		if s.opts.IdleTimeout > 0 {
 			dl = time.Now().Add(s.opts.IdleTimeout)
@@ -309,7 +325,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.mu.Lock()
 				s.frameErrors++
 				s.mu.Unlock()
-				s.reply(conn, OpErr, line, []byte(fmt.Sprintf("protocol: frame payload over %d-byte cap", s.maxFrameBytes())))
+				s.reply(bw, OpErr, line, []byte(fmt.Sprintf("protocol: frame payload over %d-byte cap", s.maxFrameBytes())))
 				s.logf("rmtp server: %s: %v", conn.RemoteAddr(), err)
 				return
 			}
@@ -336,7 +352,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if op == OpHello {
 			name, _, err := DecodeString(payload)
 			if err != nil || name == "" {
-				s.reply(conn, OpErr, line, []byte("bad hello"))
+				s.reply(bw, OpErr, line, []byte("bad hello"))
 				return
 			}
 			owner = name
@@ -344,10 +360,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if owner == "" {
-			s.reply(conn, OpErr, line, []byte("hello required"))
+			s.reply(bw, OpErr, line, []byte("hello required"))
 			return
 		}
-		if err := s.handle(conn, owner, op, line, payload); err != nil {
+		if err := s.handle(bw, owner, op, line, payload); err != nil {
 			s.logf("rmtp server: %s op %d line %d: %v", owner, op, line, err)
 			return
 		}
@@ -362,11 +378,11 @@ func (s *Server) observe(start time.Time) {
 	s.mu.Unlock()
 }
 
-func (s *Server) reply(conn net.Conn, op Op, line int32, payload []byte) error {
+func (s *Server) reply(w io.Writer, op Op, line int32, payload []byte) error {
 	s.mu.Lock()
 	s.bytesSent += uint64(frameHeaderBytes + len(payload))
 	s.mu.Unlock()
-	return WriteFrame(conn, op, line, payload)
+	return WriteFrame(w, op, line, payload)
 }
 
 // storeLocked replaces the line's entries, adjusting accounting. Caller
@@ -382,7 +398,7 @@ func (s *Server) storeLocked(key ownerLine, entries []Entry, need int64) {
 	s.stores++
 }
 
-func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload []byte) error {
+func (s *Server) handle(w io.Writer, owner string, op Op, line int32, payload []byte) error {
 	key := ownerLine{owner, line}
 	switch op {
 	case OpStoreAck:
@@ -401,7 +417,7 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 			s.nacks++
 			free := s.capacity - s.used
 			s.mu.Unlock()
-			return s.reply(conn, OpErr, line, []byte(fmt.Sprintf(
+			return s.reply(w, OpErr, line, []byte(fmt.Sprintf(
 				"%s need %d bytes, %d free", nackCapacityPrefix, need, free)))
 		}
 		s.storeLocked(key, entries, need)
@@ -414,26 +430,31 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 			s.softSignals++
 		}
 		s.mu.Unlock()
-		return s.reply(conn, OpOK, line, pressure)
+		return s.reply(w, OpOK, line, pressure)
 
 	case OpFetchHold:
 		// Lease-then-delete read: serve but keep the line until the owner's
 		// release, so a lost reply is recoverable by fetching again.
+		// The reply is encoded under the lock, so a concurrent update batch
+		// cannot change the counts mid-encode.
+		buf := getEncBuf()
+		defer putEncBuf(buf)
 		s.mu.Lock()
 		entries, ok := s.lines[key]
 		fwd, hasFwd := s.forward[key]
 		if ok {
 			s.leased[key] = true
 			s.fetches++
+			*buf = AppendEntries((*buf)[:0], entries)
 		}
 		s.mu.Unlock()
 		if !ok {
 			if hasFwd {
-				return s.reply(conn, OpErr, line, []byte("moved to "+fwd))
+				return s.reply(w, OpErr, line, []byte("moved to "+fwd))
 			}
-			return s.reply(conn, OpErr, line, []byte("not held"))
+			return s.reply(w, OpErr, line, []byte("not held"))
 		}
-		return s.reply(conn, OpOK, line, EncodeEntries(entries))
+		return s.reply(w, OpOK, line, *buf)
 
 	case OpRelease:
 		s.mu.Lock()
@@ -446,7 +467,7 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 		s.mu.Unlock()
 		// Idempotent: releasing an absent line is OK, so a retried release
 		// after a lost reply does not error.
-		return s.reply(conn, OpOK, line, nil)
+		return s.reply(w, OpOK, line, nil)
 
 	case OpUpdateBatch:
 		// Apply a coalesced frame of updates in one lock acquisition. Each
@@ -482,9 +503,9 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 		}
 		moved, err := s.migrate(owner, dest, lines)
 		if err != nil {
-			return s.reply(conn, OpErr, line, []byte(err.Error()))
+			return s.reply(w, OpErr, line, []byte(err.Error()))
 		}
-		return s.reply(conn, OpOK, line, EncodeLines(moved))
+		return s.reply(w, OpOK, line, EncodeLines(moved))
 
 	case OpReset:
 		// Purge every line of this owner across the three maps. Owner-scoped:
@@ -509,10 +530,10 @@ func (s *Server) handle(conn net.Conn, owner string, op Op, line int32, payload 
 		s.resets++
 		s.resetLines += purged
 		s.mu.Unlock()
-		return s.reply(conn, OpOK, line, binary.AppendUvarint(nil, purged))
+		return s.reply(w, OpOK, line, binary.AppendUvarint(nil, purged))
 
 	case OpStat:
-		return s.reply(conn, OpOK, line, EncodeStat(s.Occupancy()))
+		return s.reply(w, OpOK, line, EncodeStat(s.Occupancy()))
 
 	default:
 		return fmt.Errorf("unknown op %d", op)
