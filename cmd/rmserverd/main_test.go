@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memtable"
 	"repro/internal/rmtp"
 )
 
@@ -33,7 +34,7 @@ func TestDebugEndpointsOverLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.StoreAck(3, []rmtp.Entry{{Key: "ab", Count: 1}}); err != nil {
+	if err := c.StoreAck(3, []memtable.Entry{{Key: "ab", Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.UpdateBatch([]rmtp.UpdateItem{{Line: 3, Key: "ab"}}); err != nil {
@@ -178,7 +179,7 @@ func TestDebugVarsUnderConcurrentTraffic(t *testing.T) {
 			defer c.Close()
 			for r := 0; r < rounds; r++ {
 				line := int32(r)
-				if err := c.StoreAck(line, []rmtp.Entry{{Key: "k", Count: 1}}); err != nil {
+				if err := c.StoreAck(line, []memtable.Entry{{Key: "k", Count: 1}}); err != nil {
 					errs <- fmt.Errorf("worker %d store: %w", w, err)
 					return
 				}

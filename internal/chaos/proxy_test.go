@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memtable"
 	"repro/internal/rmtp"
 )
 
@@ -45,7 +46,7 @@ func defaultOpts() rmtp.Options {
 // full op set works through it and both directions are counted.
 func TestProxyTransparentRelay(t *testing.T) {
 	h, p, c := stack(t, defaultOpts())
-	entries := []rmtp.Entry{{Key: "a", Count: 1}, {Key: "b", Count: 2}}
+	entries := []memtable.Entry{{Key: "a", Count: 1}, {Key: "b", Count: 2}}
 	if err := c.StoreAck(3, entries); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestProxyLatency(t *testing.T) {
 // on a fresh connection.
 func TestProxyResetAll(t *testing.T) {
 	_, p, c := stack(t, defaultOpts())
-	if err := c.StoreAck(1, []rmtp.Entry{{Key: "x", Count: 5}}); err != nil {
+	if err := c.StoreAck(1, []memtable.Entry{{Key: "x", Count: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	p.ResetAll()
@@ -161,7 +162,7 @@ func TestProxyRefuseNew(t *testing.T) {
 // a fresh meter).
 func TestProxyCutAfterBytes(t *testing.T) {
 	_, p, c := stack(t, defaultOpts())
-	if err := c.StoreAck(1, []rmtp.Entry{{Key: "x", Count: 9}}); err != nil {
+	if err := c.StoreAck(1, []memtable.Entry{{Key: "x", Count: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	p.SetFaults(Faults{CutAfterBytes: 16})
@@ -234,7 +235,7 @@ func TestServerHandleCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.StoreAck(1, []rmtp.Entry{{Key: "x", Count: 1}}); err != nil {
+	if err := c.StoreAck(1, []memtable.Entry{{Key: "x", Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	h.Crash()

@@ -9,6 +9,12 @@
 //
 // Key types:
 //
+//   - Entry: one candidate and its count. A swapped-out hash line is a
+//     []Entry everywhere it goes — pager shadows, the simulated stores, the
+//     rmtp wire, the spill file — with one byte form (AppendEntries /
+//     DecodeEntries, which bounds the declared count by the payload's bytes)
+//     and one remote-update step (Increment; only the rmtp server keeps its
+//     own []byte-keyed loop, which does not allocate).
 //   - Table: the hash table. Insert adds candidates during candidate
 //     generation; Probe increments a candidate's count during the counting
 //     phase, transparently triggering eviction, pagefault, or remote-update
@@ -20,9 +26,9 @@
 //   - Pager: the interface to the swap device (StoreOut, FetchIn, Update).
 //     Implemented by remotemem.Client (the simulated remote memory),
 //     disk.SwapPager (the simulated swap disk), remotemem.TCPPager (real
-//     rmserverd processes over TCP), FilePager (a local spill file) and
-//     FallbackPager (a remote tier that diverts refused stores to a disk
-//     tier).
+//     rmserverd processes over TCP), FilePager (a local spill file of
+//     AppendEntries records) and FallbackPager (a remote tier that diverts
+//     refused stores to a disk tier).
 //   - BulkFetcher: an optional pager interface (FetchAll) that brings many
 //     swapped-out lines home in one sweep. TCPPager implements it with
 //     pipelined fetch windows; FallbackPager forwards its remote tier's

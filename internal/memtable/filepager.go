@@ -1,7 +1,6 @@
 package memtable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -66,9 +65,10 @@ func (fp *FilePager) Close() error {
 	return err
 }
 
-// StoreOut appends the encoded line and records its extent.
+// StoreOut appends the line as one AppendEntries record (the payload codec
+// rmtp ships lines in) and records its extent.
 func (fp *FilePager) StoreOut(p transport.Proc, line int, entries []Entry) (Location, error) {
-	buf := encodeEntries(entries)
+	buf := AppendEntries(nil, entries)
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	if err := fp.append(line, buf); err != nil {
@@ -99,13 +99,8 @@ func (fp *FilePager) Update(p transport.Proc, line int, loc Location, key string
 	if err != nil {
 		return err
 	}
-	for i := range entries {
-		if entries[i].Key == key {
-			entries[i].Count++
-			break
-		}
-	}
-	if err := fp.append(line, encodeEntries(entries)); err != nil {
+	Increment(entries, key)
+	if err := fp.append(line, AppendEntries(nil, entries)); err != nil {
 		return err
 	}
 	fp.stats.Updates++
@@ -144,53 +139,9 @@ func (fp *FilePager) read(line int) ([]Entry, error) {
 	if _, err := fp.f.ReadAt(buf, ext.off); err != nil {
 		return nil, fmt.Errorf("memtable: spill read: %w", err)
 	}
-	return decodeEntries(buf)
-}
-
-// encodeEntries packs entries as: u32 count, then per entry u32 key length,
-// key bytes, u32 count value.
-func encodeEntries(entries []Entry) []byte {
-	n := 4
-	for _, e := range entries {
-		n += 8 + len(e.Key)
-	}
-	buf := make([]byte, 0, n)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Count))
-	}
-	return buf
-}
-
-// decodeEntries is the inverse of encodeEntries. Every entry takes at least
-// 8 bytes, so a count the remaining bytes cannot hold is rejected before it
-// sizes an allocation.
-func decodeEntries(buf []byte) ([]Entry, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("memtable: spill record truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if n > len(buf)/8 {
-		return nil, fmt.Errorf("memtable: spill record claims %d entries in %d bytes", n, len(buf))
-	}
-	entries := make([]Entry, 0, n)
-	for i := 0; i < n; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("memtable: spill record truncated")
-		}
-		kl := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < kl+4 {
-			return nil, fmt.Errorf("memtable: spill record truncated")
-		}
-		entries = append(entries, Entry{
-			Key:   string(buf[:kl]),
-			Count: int32(binary.LittleEndian.Uint32(buf[kl:])),
-		})
-		buf = buf[kl+4:]
+	entries, err := DecodeEntries(buf)
+	if err != nil {
+		return nil, fmt.Errorf("memtable: spill record of line %d: %w", line, err)
 	}
 	return entries, nil
 }

@@ -181,46 +181,32 @@ func TestFallbackPagerResetForwardsToBothTiers(t *testing.T) {
 	}
 }
 
-// TestDecodeEntriesRejectsHugeCount: a spill record whose entry count cannot
-// fit in its bytes is an error, not an allocation sized by the count (a
-// 4-byte record ff ff ff 7f once reserved tens of GB and killed the process).
-func TestDecodeEntriesRejectsHugeCount(t *testing.T) {
-	for _, rec := range [][]byte{
-		{0xff, 0xff, 0xff, 0x7f},
-		{0x02, 0, 0, 0, 1, 0, 0, 0, 'a', 0, 0, 0, 0}, // 2 entries, bytes for 1
-	} {
-		if got, err := decodeEntries(rec); err == nil {
-			t.Errorf("decodeEntries(% x) = %v, want an error", rec, got)
-		}
+// TestFilePagerCorruptRecord: a spill record that no longer decodes makes
+// FetchIn (and Update) fail instead of handing the table garbage counts.
+func TestFilePagerCorruptRecord(t *testing.T) {
+	fp, err := NewFilePager(filepath.Join(t.TempDir(), "spill.dat"))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	defer fp.Close()
 
-// FuzzDecodeEntries: no spill record makes the decoder panic or over-allocate,
-// and whatever it accepts survives an encode/decode round trip.
-func FuzzDecodeEntries(f *testing.F) {
-	f.Add(encodeEntries(nil))
-	f.Add(encodeEntries(fpEntries("a", 1)))
-	f.Add(encodeEntries(fpEntries("k1", 5, "k2", -7, "", 0)))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, rec []byte) {
-		got, err := decodeEntries(rec)
-		if err != nil {
-			return
-		}
-		if len(got) > len(rec)/8 {
-			t.Fatalf("%d entries decoded from %d bytes", len(got), len(rec))
-		}
-		again, err := decodeEntries(encodeEntries(got))
-		if err != nil {
-			t.Fatalf("re-decoding an encoded record: %v", err)
-		}
-		if len(again) != len(got) {
-			t.Fatalf("round trip changed length: %d -> %d", len(got), len(again))
-		}
-		for i := range got {
-			if again[i] != got[i] {
-				t.Fatalf("round trip entry %d: %v -> %v", i, got[i], again[i])
-			}
-		}
-	})
+	p := transport.NewRealProc()
+	loc, err := fp.StoreOut(p, 4, fpEntries("x", 1, "y", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := fp.slots[4]
+	junk := make([]byte, ext.len)
+	for i := range junk {
+		junk[i] = 0xff // a uvarint that never ends
+	}
+	if _, err := fp.f.WriteAt(junk, ext.off); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.Update(p, 4, loc, "x"); err == nil {
+		t.Error("Update of a corrupted spill record succeeded")
+	}
+	if got, err := fp.FetchIn(p, 4, loc); err == nil {
+		t.Errorf("FetchIn of a corrupted spill record = %v, want an error", got)
+	}
 }

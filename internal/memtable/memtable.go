@@ -11,12 +11,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Entry is one candidate itemset (canonical key) with its support count.
-type Entry struct {
-	Key   string
-	Count int32
-}
-
 // Default cost accounting, matching §5.1 ("each candidate itemset occupies
 // 24 bytes in total (structure area + data area)").
 const (

@@ -259,9 +259,9 @@ func BenchRMTPStoreFetchLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	entries := make([]rmtp.Entry, 6)
+	entries := make([]memtable.Entry, 6)
 	for i := range entries {
-		entries[i] = rmtp.Entry{Key: fmt.Sprintf("key-%03d", i), Count: int32(i)}
+		entries[i] = memtable.Entry{Key: fmt.Sprintf("key-%03d", i), Count: int32(i)}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

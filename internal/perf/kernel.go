@@ -9,6 +9,7 @@ import (
 	"repro/internal/candtab"
 	"repro/internal/htree"
 	"repro/internal/itemset"
+	"repro/internal/memtable"
 	"repro/internal/quest"
 	"repro/internal/rmtp"
 )
@@ -154,11 +155,11 @@ func BenchRMTPUpdateBatchLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	entries := make([]rmtp.Entry, 64)
+	entries := make([]memtable.Entry, 64)
 	items := make([]rmtp.UpdateItem, 64)
 	for i := range entries {
 		key := fmt.Sprintf("key-%03d", i)
-		entries[i] = rmtp.Entry{Key: key}
+		entries[i] = memtable.Entry{Key: key}
 		items[i] = rmtp.UpdateItem{Line: 0, Key: key}
 	}
 	if err := c.StoreAck(0, entries); err != nil {

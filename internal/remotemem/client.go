@@ -2,8 +2,6 @@ package remotemem
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/memtable"
@@ -35,28 +33,15 @@ type Client struct {
 	avail  *AvailTable
 	table  *memtable.Table // attached after table construction
 
-	placed     map[int]int   // line -> store node (latest known)
-	lineBytes  map[int]int64 // line -> resident-accounting bytes stored
-	bytesAt    map[int]int64 // store node -> our bytes there
+	// lines records each swapped-out line: its holder (latest known) and
+	// accounted bytes, and, while fault tolerance is enabled, a shadow copy
+	// so a line held by a store that dies can be rebuilt locally. The
+	// shadow stands in for recomputing the lost candidates from the pass
+	// data, at RecoverCPU per entry. A line is tainted when its holder was
+	// presumed dead (updates went only to the shadow) and then revived (a
+	// partition that healed): the revived copy is never served.
+	lines      ledger
 	destStates map[int]destState
-
-	// shadow retains a private copy of the entries shipped at StoreOut while
-	// fault tolerance is enabled, so a line held by a store that dies can be
-	// rebuilt locally. It must be a copy: the in-flight StoreMsg references
-	// the shipped array until the store copies on receipt (one network
-	// latency later), and a RemoteUpdate mutating a shared shadow in that
-	// window would leak into the store's copy and then be applied again by
-	// the trailing UpdateMsg — double counts. Under SimpleSwap a swapped-out
-	// line is immutable; under RemoteUpdate the shadow mirrors every update
-	// the client issues. The shadow stands in for recomputing the lost
-	// candidates from the pass data, at RecoverCPU per entry.
-	shadow map[int][]memtable.Entry
-
-	// tainted marks lines whose remote copy went stale while their holder
-	// was presumed dead (updates were applied only to the shadow). A revived
-	// holder (a partition that healed) must never serve these: the shadow
-	// stays authoritative and the line is recovered locally on fetch.
-	tainted map[int]bool
 
 	// UnavailableThreshold: a report at or below this many free bytes marks
 	// the node unavailable and triggers migration of our lines away from it.
@@ -79,16 +64,6 @@ type Client struct {
 	FetchRetries int
 	// RetryBackoff is the pause before the first retry, doubling per retry.
 	RetryBackoff sim.Duration
-	// RetryJitter randomizes each backoff pause to ±RetryJitter fraction of
-	// its nominal value (0..1). Zero keeps pure doubling — deterministic, but
-	// it synchronizes the retry clocks of every client a dying store dropped,
-	// so they all stampede back in the same virtual-time instant. The jitter
-	// sequence is seeded per client (JitterSeed), keeping seeded runs
-	// reproducible.
-	RetryJitter float64
-	// JitterSeed seeds the jitter sequence (default: derived from the node
-	// id, so identically-configured runs stay deterministic).
-	JitterSeed int64
 	// DeadAfter declares a store dead when its MemReports have been silent
 	// this long. Set it to at least twice the monitor interval, or healthy
 	// stores get spuriously declared dead between reports. Zero disables
@@ -111,7 +86,6 @@ type Client struct {
 	migrations uint64 // migration rounds initiated
 	relocated  uint64 // lines whose location changed via MigrateDone
 	fetchSeq   uint64 // request id generator for FetchReq.Seq
-	jitterRng  *rand.Rand
 	res        stats.Resilience
 }
 
@@ -122,12 +96,8 @@ func NewClient(ep transport.Endpoint, layout cluster.Layout) *Client {
 		ep:                   ep,
 		layout:               layout,
 		avail:                NewAvailTable(),
-		placed:               make(map[int]int),
-		lineBytes:            make(map[int]int64),
-		bytesAt:              make(map[int]int64),
+		lines:                ledger{},
 		destStates:           make(map[int]destState),
-		shadow:               make(map[int][]memtable.Entry),
-		tainted:              make(map[int]bool),
 		UnavailableThreshold: 64 << 10,
 		ReportCPU:            50 * sim.Microsecond,
 	}
@@ -256,12 +226,11 @@ func (c *Client) StoreOut(p transport.Proc, line int, entries []memtable.Entry) 
 		return memtable.Location{}, fmt.Errorf("remotemem: node %d: store-out of line %d: %w", c.node, line, err)
 	}
 	c.avail.Charge(dest, need)
-	c.placed[line] = dest
-	c.lineBytes[line] = need
-	c.bytesAt[dest] += need
+	pl := &placement{holder: dest, bytes: need}
 	if c.ftEnabled() {
-		c.shadow[line] = append([]memtable.Entry(nil), entries...)
+		pl.shadow = shadowCopy(entries)
 	}
+	c.lines[line] = pl
 	return memtable.Location{Node: dest}, nil
 }
 
@@ -275,7 +244,7 @@ func (c *Client) StoreOut(p transport.Proc, line int, entries []memtable.Entry) 
 // hanging the mining pass.
 func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]memtable.Entry, error) {
 	c.checkHeartbeats()
-	if c.tainted[line] {
+	if pl := c.lines[line]; pl != nil && pl.tainted {
 		// The holder missed updates while presumed dead and has since been
 		// revived; its copy is stale. Only the shadow has the true counts.
 		return c.recoverLine(p, line, loc.Node)
@@ -291,8 +260,8 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 		// migrated the line away forwards the request); retries go straight
 		// to the latest known holder.
 		if attempt > 0 {
-			if holder, ok := c.placed[line]; ok {
-				target = holder
+			if pl := c.lines[line]; pl != nil {
+				target = pl.holder
 			}
 		}
 		if c.destStates[target] == destDead {
@@ -352,23 +321,19 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 				continue
 			}
 			if reply.Err != "" {
-				if _, ok := c.shadow[line]; ok {
+				if c.hasShadow(line) {
 					return c.recoverLine(p, line, target)
 				}
 				return nil, fmt.Errorf("remotemem: fetch of line %d: %s", line, reply.Err)
 			}
-			holder := c.placed[line]
-			c.bytesAt[holder] -= c.lineBytes[line]
-			delete(c.placed, line)
-			delete(c.lineBytes, line)
-			delete(c.shadow, line)
+			c.lines.forget(line)
 			return reply.Entries, nil
 		}
 	}
 	// Every attempt timed out: the holder is unresponsive. Declare it dead
 	// so subsequent operations fail over immediately.
 	c.markDead(target)
-	if _, ok := c.shadow[line]; ok {
+	if c.hasShadow(line) {
 		return c.recoverLine(p, line, target)
 	}
 	return nil, fmt.Errorf("remotemem: node %d: fetch of line %d from store %d timed out after %d attempts",
@@ -376,41 +341,25 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 }
 
 // retryPause returns the backoff before retry `attempt` (1-based):
-// exponential doubling, randomized by ±RetryJitter so clients dropped
-// together do not retry in lockstep. The jitter rng is seeded per client,
-// keeping seeded runs bit-identical across replays; with RetryJitter zero
-// the original pure-doubling schedule (and its golden traces) is unchanged.
+// RetryBackoff, doubling per retry.
 func (c *Client) retryPause(attempt int) sim.Duration {
-	if c.RetryBackoff <= 0 {
-		return 0
-	}
-	d := c.RetryBackoff << (attempt - 1)
-	if c.RetryJitter > 0 {
-		if c.jitterRng == nil {
-			seed := c.JitterSeed
-			if seed == 0 {
-				seed = int64(c.node) + 1
-			}
-			c.jitterRng = rand.New(rand.NewSource(seed))
-		}
-		if span := int64(float64(d) * c.RetryJitter); span > 0 {
-			d += sim.Duration(c.jitterRng.Int63n(2*span+1) - span)
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return c.RetryBackoff << (attempt - 1)
+}
+
+// hasShadow reports whether a shadow copy of the line is kept.
+func (c *Client) hasShadow(line int) bool {
+	pl := c.lines[line]
+	return pl != nil && pl.shadow != nil
 }
 
 // recoverLine rebuilds a line lost with a dead store from its shadow copy,
 // charging the modeled recomputation cost.
 func (c *Client) recoverLine(p transport.Proc, line, holder int) ([]memtable.Entry, error) {
-	sh, ok := c.shadow[line]
-	if !ok {
+	if !c.hasShadow(line) {
 		return nil, fmt.Errorf("remotemem: node %d: line %d lost with dead store %d and no shadow retained",
 			c.node, line, holder)
 	}
+	sh := c.lines[line].shadow
 	start := p.Now()
 	if c.RecoverCPU > 0 {
 		p.Work(sim.Duration(len(sh)) * c.RecoverCPU)
@@ -425,11 +374,7 @@ func (c *Client) recoverLine(p transport.Proc, line, holder int) ([]memtable.Ent
 	}
 	c.logf("remotemem: node %d: recovered line %d (%d entries) lost with store %d",
 		c.node, line, len(sh), holder)
-	c.bytesAt[c.placed[line]] -= c.lineBytes[line]
-	delete(c.placed, line)
-	delete(c.lineBytes, line)
-	delete(c.shadow, line)
-	delete(c.tainted, line)
+	c.lines.forget(line)
 	return sh, nil
 }
 
@@ -439,18 +384,11 @@ func (c *Client) recoverLine(p transport.Proc, line, holder int) ([]memtable.Ent
 // the increment so a later recovery carries the same counts the remote copy
 // had.
 func (c *Client) Update(p transport.Proc, line int, loc memtable.Location, key string) error {
-	if sh, ok := c.shadow[line]; ok {
-		for i := range sh {
-			if sh[i].Key == key {
-				sh[i].Count++
-				break
-			}
-		}
-	}
+	pl := c.lines.mirror(line, key)
 	if c.destStates[loc.Node] == destDead {
 		return nil // remote copy is gone; the shadow carries the count
 	}
-	if c.tainted[line] {
+	if pl != nil && pl.tainted {
 		return nil // remote copy already stale; the shadow is authoritative
 	}
 	return c.ep.Send(p, loc.Node, cluster.PortMem,
@@ -505,9 +443,9 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 				// holder), so its copies are stale forever. Taint them: the
 				// shadow stays authoritative and the remote copy is never
 				// fetched. The store keeps serving *new* lines normally.
-				for _, line := range c.linesAt(msg.Node) {
-					if _, ok := c.shadow[line]; ok {
-						c.tainted[line] = true
+				for _, line := range c.lines.linesAt(msg.Node) {
+					if pl := c.lines[line]; pl.shadow != nil {
+						pl.tainted = true
 					}
 				}
 				c.logf("remotemem: node %d: store %d revived; keeping shadows authoritative for its lines",
@@ -521,7 +459,7 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 	if st != destNormal {
 		return // already migrating, drained, or dead
 	}
-	lines := c.linesAt(msg.Node)
+	lines := c.lines.linesAt(msg.Node)
 	if len(lines) == 0 {
 		c.destStates[msg.Node] = destDrained
 		return
@@ -552,7 +490,7 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 	if c.Rec.Wants(trace.KMigrateCmd) {
 		var total int64
 		for _, line := range lines {
-			total += c.lineBytes[line]
+			total += c.lines[line].bytes
 		}
 		c.Rec.Emit(trace.Event{
 			At: p.Now(), Node: c.node, Kind: trace.KMigrateCmd,
@@ -564,7 +502,7 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 	for i, line := range lines {
 		d := dests[i%len(dests)]
 		perDest[d] = append(perDest[d], line)
-		c.avail.Charge(d, c.lineBytes[line])
+		c.avail.Charge(d, c.lines[line].bytes)
 	}
 	// Chunk each direction so the store can interleave fault service between
 	// batches instead of stalling concurrent fetches behind one long sweep.
@@ -590,12 +528,11 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 
 func (c *Client) handleMigrateDone(p transport.Proc, msg MigrateDone) {
 	for _, line := range msg.Lines {
-		if c.placed[line] != msg.From {
+		pl := c.lines[line]
+		if pl == nil || pl.holder != msg.From {
 			continue // fetched or re-stored elsewhere in the meantime
 		}
-		c.placed[line] = msg.Dest
-		c.bytesAt[msg.From] -= c.lineBytes[line]
-		c.bytesAt[msg.Dest] += c.lineBytes[line]
+		pl.holder = msg.Dest
 		if c.table != nil && !c.table.IsResident(line) {
 			if err := c.table.Relocate(line, memtable.Location{Node: msg.Dest}); err == nil {
 				c.relocated++
@@ -611,21 +548,3 @@ func (c *Client) handleMigrateDone(p transport.Proc, msg MigrateDone) {
 		})
 	}
 }
-
-// linesAt returns this client's lines held by the given store node, sorted.
-// The order matters: it decides which migration destination each line gets,
-// so iterating c.placed (a map) directly would make migration placement —
-// and with it the whole event stream — vary between identically-seeded runs.
-func (c *Client) linesAt(node int) []int {
-	var out []int
-	for line, n := range c.placed {
-		if n == node {
-			out = append(out, line)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// BytesAt returns the client's accounting of its bytes at one store.
-func (c *Client) BytesAt(node int) int64 { return c.bytesAt[node] }

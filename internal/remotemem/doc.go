@@ -35,6 +35,12 @@
 // each against its shadow exactly as a single fetch is verified. The
 // simulated Client keeps one fetch per pagefault, the paper's cost model.
 //
+// Client and TCPPager share one record of each line they placed (the
+// unexported ledger): holder, accounted bytes, shadow copy, taint, and TCP's
+// connection epoch. The ledger mirrors updates into shadows, lists a holder's
+// lines in sorted order for migration, and forgets a line in one call; each
+// pager keeps its own rules for when a remote copy goes stale.
+//
 // Store, Monitor, and Client all accept an optional trace.Recorder; when
 // attached, store/fetch/update service times, availability reports,
 // migration commands and batches, and fault detections are emitted as

@@ -161,12 +161,7 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 			return
 		}
 		s.updates++
-		for i := range entries {
-			if entries[i].Key == req.Key {
-				entries[i].Count++
-				break
-			}
-		}
+		memtable.Increment(entries, req.Key)
 		if s.Rec.Wants(trace.KUpdateApply) {
 			s.Rec.Emit(trace.Event{
 				At: p.Now(), Node: s.node, Kind: trace.KUpdateApply,

@@ -3,6 +3,7 @@ package remotemem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/memtable"
@@ -30,15 +31,6 @@ type TCPPagerStats struct {
 
 // updateBatchMax is the most update items one OpUpdateBatch frame carries.
 const updateBatchMax = 64
-
-// tcpLine is the pager's private record of one remotely-stored line.
-type tcpLine struct {
-	server  int              // index into the client fleet
-	shadow  []memtable.Entry // mirror of the remote copy, updates applied locally
-	epoch   uint64           // holder's ConnEpoch at the line's last remote write
-	oneWay  bool             // that write was an unconfirmed one-way update frame
-	tainted bool             // a remote write failed: the shadow is authoritative
-}
 
 // TCPPager implements memtable.Pager against a fleet of real rmserverd
 // processes over rmtp — the TCP backend's counterpart of the simulated
@@ -78,7 +70,7 @@ type TCPPager struct {
 	owner   string
 	addrs   []string
 	clients []*rmtp.Client
-	lines   map[int]*tcpLine
+	lines   ledger // holder is the fleet index; every line keeps a shadow
 	rr      int
 	stats   TCPPagerStats
 	logf    func(string, ...any)
@@ -94,7 +86,7 @@ func NewTCPPager(owner string, addrs []string, opts rmtp.Options) (*TCPPager, er
 	tp := &TCPPager{
 		owner: owner,
 		addrs: append([]string(nil), addrs...),
-		lines: make(map[int]*tcpLine),
+		lines: ledger{},
 		logf:  func(string, ...any) {},
 		pendU: make(map[int][]rmtp.UpdateItem),
 	}
@@ -169,22 +161,6 @@ func (tp *TCPPager) Close() error {
 	return first
 }
 
-func toWire(entries []memtable.Entry) []rmtp.Entry {
-	out := make([]rmtp.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = rmtp.Entry{Key: e.Key, Count: e.Count}
-	}
-	return out
-}
-
-func fromWire(entries []rmtp.Entry) []memtable.Entry {
-	out := make([]memtable.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = memtable.Entry{Key: e.Key, Count: e.Count}
-	}
-	return out
-}
-
 // StoreOut ships a line to the fleet, rotating the first-choice server and
 // failing over to the others on refusal. Servers that signalled soft-
 // watermark pressure on their last ack are tried after the un-pressured
@@ -213,10 +189,9 @@ func (tp *TCPPager) StoreOut(p transport.Proc, line int, entries []memtable.Entr
 	}
 	order = append(order, pressured...)
 
-	wire := toWire(entries)
 	var lastErr error
 	for _, server := range order {
-		if err := tp.clients[server].StoreAck(int32(line), wire); err != nil {
+		if err := tp.clients[server].StoreAck(int32(line), entries); err != nil {
 			lastErr = err
 			tp.mu.Lock()
 			tp.stats.Failovers++
@@ -229,9 +204,9 @@ func (tp *TCPPager) StoreOut(p transport.Proc, line int, entries []memtable.Entr
 		}
 		tp.mu.Lock()
 		tp.stats.Stores++
-		tp.lines[line] = &tcpLine{
-			server: server,
-			shadow: append([]memtable.Entry(nil), entries...),
+		tp.lines[line] = &placement{
+			holder: server,
+			shadow: shadowCopy(entries),
 			epoch:  tp.clients[server].ConnEpoch(),
 		}
 		tp.mu.Unlock()
@@ -246,23 +221,17 @@ func (tp *TCPPager) StoreOut(p transport.Proc, line int, entries []memtable.Entr
 // the line: the shadow stays authoritative from there on.
 func (tp *TCPPager) Update(p transport.Proc, line int, loc memtable.Location, key string) error {
 	tp.mu.Lock()
-	st, ok := tp.lines[line]
-	if !ok {
+	st := tp.lines.mirror(line, key)
+	if st == nil {
 		tp.mu.Unlock()
 		return fmt.Errorf("remotemem: %s: update of unknown line %d", tp.owner, line)
-	}
-	for i := range st.shadow {
-		if st.shadow[i].Key == key {
-			st.shadow[i].Count++
-			break
-		}
 	}
 	if st.tainted {
 		tp.mu.Unlock()
 		return nil // remote copy already stale; don't widen the divergence
 	}
 	tp.stats.Updates++
-	server := st.server
+	server := st.holder
 	tp.pendU[server] = append(tp.pendU[server], rmtp.UpdateItem{Line: int32(line), Key: key})
 	var flush []rmtp.UpdateItem
 	if len(tp.pendU[server]) >= updateBatchMax {
@@ -286,7 +255,7 @@ func (tp *TCPPager) takePendingLocked(server int) []rmtp.UpdateItem {
 	items := pend[:0]
 	for _, it := range pend {
 		st, ok := tp.lines[int(it.Line)]
-		if !ok || st.tainted || st.server != server {
+		if !ok || st.tainted || st.holder != server {
 			continue
 		}
 		items = append(items, it)
@@ -319,7 +288,7 @@ func (tp *TCPPager) sendBatch(server int, items []rmtp.UpdateItem) {
 	epoch := tp.clients[server].ConnEpoch()
 	for _, it := range items {
 		st, ok := tp.lines[int(it.Line)]
-		if !ok || st.server != server || st.tainted {
+		if !ok || st.holder != server || st.tainted {
 			continue
 		}
 		switch {
@@ -359,7 +328,7 @@ func (tp *TCPPager) FetchAll(p transport.Proc, lines []memtable.Swapped, got fun
 			tp.mu.Unlock()
 			return fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, sl.Line)
 		}
-		byServer[st.server] = append(byServer[st.server], int32(sl.Line))
+		byServer[st.holder] = append(byServer[st.holder], int32(sl.Line))
 	}
 	tp.mu.Unlock()
 
@@ -373,8 +342,8 @@ func (tp *TCPPager) FetchAll(p transport.Proc, lines []memtable.Swapped, got fun
 		// are served and the replies match the shadows. The flush itself may
 		// taint lines.
 		tp.flushServer(server)
-		tp.clients[server].FetchMany(ids, func(line int32, wire []rmtp.Entry, err error) {
-			entries, err := tp.land(server, int(line), wire, err)
+		tp.clients[server].FetchMany(ids, func(line int32, fetched []memtable.Entry, err error) {
+			entries, err := tp.land(server, int(line), fetched, err)
 			if err != nil {
 				if first == nil {
 					first = err
@@ -392,14 +361,13 @@ func (tp *TCPPager) FetchAll(p transport.Proc, lines []memtable.Swapped, got fun
 // and so is one whose remote fetch failed. Otherwise the remote copy must
 // come from the connection epoch of the line's last write and equal the
 // shadow.
-func (tp *TCPPager) land(server, line int, wire []rmtp.Entry, fetchErr error) ([]memtable.Entry, error) {
+func (tp *TCPPager) land(server, line int, fetched []memtable.Entry, fetchErr error) ([]memtable.Entry, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	st, ok := tp.lines[line]
-	if !ok {
+	st := tp.lines.forget(line)
+	if st == nil {
 		return nil, fmt.Errorf("remotemem: %s: fetch of unknown line %d", tp.owner, line)
 	}
-	delete(tp.lines, line)
 	if st.tainted {
 		tp.stats.Recoveries++
 		return st.shadow, nil
@@ -417,14 +385,13 @@ func (tp *TCPPager) land(server, line int, wire []rmtp.Entry, fetchErr error) ([
 		tp.logf("remotemem: %s: line %d: connection epoch changed since last write; using shadow", tp.owner, line)
 		return st.shadow, nil
 	}
-	got := fromWire(wire)
-	if !tcpEntriesEqual(got, st.shadow) {
+	if !slices.Equal(fetched, st.shadow) {
 		tp.stats.Mismatches++
 		tp.logf("remotemem: %s: line %d: verified fetch DIFFERS from shadow — transport bug", tp.owner, line)
 		return nil, fmt.Errorf("remotemem: %s: line %d diverged from shadow on a verified fetch", tp.owner, line)
 	}
 	tp.stats.VerifiedFetches++
-	return got, nil
+	return fetched, nil
 }
 
 // MigrateAll asks server `from` to push every line this pager placed there
@@ -437,8 +404,8 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 	}
 	tp.mu.Lock()
 	var lines []int32
-	for line, st := range tp.lines {
-		if st.server == from && !st.tainted {
+	for _, line := range tp.lines.linesAt(from) {
+		if !tp.lines[line].tainted {
 			lines = append(lines, int32(line))
 		}
 	}
@@ -460,7 +427,7 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 	for _, l := range moved {
 		line := int(l)
 		st, ok := tp.lines[line]
-		if !ok || st.server != from {
+		if !ok || st.holder != from {
 			continue // fetched or re-stored concurrently
 		}
 		// Migrate is request/reply on from's connection, so its success
@@ -471,7 +438,7 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 			st.tainted = true
 			tp.stats.Taints++
 		}
-		st.server = dest
+		st.holder = dest
 		st.epoch = tp.clients[dest].ConnEpoch()
 		st.oneWay = false
 		tp.stats.Migrated++
@@ -487,7 +454,7 @@ func (tp *TCPPager) MigrateAll(from, dest int) ([]int, error) {
 // server has been tried.
 func (tp *TCPPager) Reset() error {
 	tp.mu.Lock()
-	tp.lines = make(map[int]*tcpLine)
+	tp.lines = ledger{}
 	tp.pendU = make(map[int][]rmtp.UpdateItem)
 	tp.stats.Resets++
 	tp.mu.Unlock()
@@ -506,18 +473,6 @@ func (tp *TCPPager) Reset() error {
 		tp.mu.Unlock()
 	}
 	return first
-}
-
-func tcpEntriesEqual(a, b []memtable.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 var (

@@ -303,7 +303,7 @@ func TestTCPPagerFetchAllSurvivesCutMidWindow(t *testing.T) {
 		for k := 0; k < 40; k++ {
 			stored[line] = append(stored[line], memtable.Entry{Key: fmt.Sprintf("line%03d-key%012d", line, k), Count: int32(k)})
 		}
-		wireBytes += 9 + len(rmtp.EncodeEntries(toWire(stored[line])))
+		wireBytes += 9 + len(memtable.AppendEntries(nil, stored[line]))
 	}
 	// The meter starts now: the stores carry about wireBytes up, so the cut
 	// lands about half-way through the fetch replies coming down. The retried
@@ -415,12 +415,4 @@ func equalEntries(a, b []memtable.Entry) bool {
 		}
 	}
 	return true
-}
-
-func toWire(entries []memtable.Entry) []rmtp.Entry {
-	out := make([]rmtp.Entry, len(entries))
-	for i, e := range entries {
-		out[i] = rmtp.Entry{Key: e.Key, Count: e.Count}
-	}
-	return out
 }

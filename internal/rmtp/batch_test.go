@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+
+	"repro/internal/memtable"
 )
 
 func TestUpdateBatchRoundTrip(t *testing.T) {
@@ -102,10 +104,10 @@ func TestUpdateBatchLoopback(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if err := cl.StoreAck(1, []Entry{{Key: "aa"}, {Key: "bb"}}); err != nil {
+	if err := cl.StoreAck(1, []memtable.Entry{{Key: "aa"}, {Key: "bb"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.StoreAck(2, []Entry{{Key: "cc"}}); err != nil {
+	if err := cl.StoreAck(2, []memtable.Entry{{Key: "cc"}}); err != nil {
 		t.Fatal(err)
 	}
 	var items []UpdateItem
@@ -130,8 +132,8 @@ func TestUpdateBatchLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1 := []Entry{{Key: "aa", Count: 10}, {Key: "bb", Count: 1}}
-	want2 := []Entry{{Key: "cc", Count: 1}}
+	want1 := []memtable.Entry{{Key: "aa", Count: 10}, {Key: "bb", Count: 1}}
+	want2 := []memtable.Entry{{Key: "cc", Count: 1}}
 	if fmt.Sprint(got1) != fmt.Sprint(want1) {
 		t.Fatalf("line 1 = %v, want %v", got1, want1)
 	}

@@ -3,6 +3,8 @@ package rmtp
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/memtable"
 )
 
 func benchServerClient(b *testing.B) (*Server, *Client) {
@@ -58,14 +60,14 @@ func BenchmarkUpdateLoopback(b *testing.B) {
 }
 
 func BenchmarkEncodeDecodeEntries(b *testing.B) {
-	entries := make([]Entry, 64)
+	entries := make([]memtable.Entry, 64)
 	for i := range entries {
-		entries[i] = Entry{Key: fmt.Sprintf("key-%08d", i), Count: int32(i)}
+		entries[i] = memtable.Entry{Key: fmt.Sprintf("key-%08d", i), Count: int32(i)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := EncodeEntries(entries)
-		if _, err := DecodeEntries(buf); err != nil {
+		buf := memtable.AppendEntries(nil, entries)
+		if _, err := memtable.DecodeEntries(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/memtable"
 )
 
 // ErrClosed is returned by every operation attempted after Close. A closed
@@ -460,9 +462,9 @@ func putEncBuf(b *[]byte) { encPool.Put(b) }
 // an error matching ErrCapacity, so the caller can divert the line to a
 // fallback tier instead of losing it. Retried (storing is idempotent: a
 // duplicate store replaces the same line).
-func (c *Client) StoreAck(line int32, entries []Entry) error {
+func (c *Client) StoreAck(line int32, entries []memtable.Entry) error {
 	buf := getEncBuf()
-	*buf = AppendEntries((*buf)[:0], entries)
+	*buf = memtable.AppendEntries((*buf)[:0], entries)
 	op, payload, err := c.callRetried(OpStoreAck, line, *buf)
 	putEncBuf(buf)
 	if err != nil {
@@ -521,8 +523,8 @@ func (c *Client) Reset() (int, error) {
 const fetchWindow = 64
 
 // Fetch retrieves one stored line: FetchMany of that line.
-func (c *Client) Fetch(line int32) (entries []Entry, err error) {
-	c.FetchMany([]int32{line}, func(_ int32, e []Entry, ferr error) { entries, err = e, ferr })
+func (c *Client) Fetch(line int32) (entries []memtable.Entry, err error) {
+	c.FetchMany([]int32{line}, func(_ int32, e []memtable.Entry, ferr error) { entries, err = e, ferr })
 	return entries, err
 }
 
@@ -541,11 +543,11 @@ func (c *Client) Fetch(line int32) (entries []Entry, err error) {
 // release: with the line's entries, or with the error it drew — the server's
 // refusal (an absent or migrated line, which does not abort the window), a
 // malformed reply, or the transport failure that outlasted the retries.
-func (c *Client) FetchMany(lines []int32, got func(line int32, entries []Entry, err error)) {
+func (c *Client) FetchMany(lines []int32, got func(line int32, entries []memtable.Entry, err error)) {
 	for len(lines) > 0 {
 		win := lines[:min(len(lines), fetchWindow)]
 		lines = lines[len(win):]
-		entries := make([][]Entry, len(win))
+		entries := make([][]memtable.Entry, len(win))
 		errs := make([]error, len(win))
 		err := c.callIdempotent(OpFetchHold, func() error {
 			return c.exchangeLocked(OpFetchHold, win, nil, func(i int, op Op, payload []byte) {
@@ -553,7 +555,7 @@ func (c *Client) FetchMany(lines []int32, got func(line int32, entries []Entry, 
 					entries[i], errs[i] = nil, fmt.Errorf("rmtp: fetch line %d: %s", win[i], payload)
 					return
 				}
-				entries[i], errs[i] = DecodeEntries(payload)
+				entries[i], errs[i] = memtable.DecodeEntries(payload)
 			})
 		})
 		if err != nil {

@@ -11,9 +11,11 @@
 //
 //	[1B op][4B line (big endian)][4B payload length][payload]
 //
-// Strings and entry lists are length-prefixed with uvarints inside the
-// payload; a decoder rejects a count that the remaining bytes could not
-// carry before it allocates anything. A session starts with OpHello
+// Strings and line lists are length-prefixed with uvarints inside the
+// payload. A hash line travels as []memtable.Entry in memtable's one entry
+// codec (AppendEntries/DecodeEntries), the same bytes the spill file
+// stores; rmtp has no entry type of its own. Every decoder rejects a count
+// that the remaining bytes could not carry before it allocates anything. A session starts with OpHello
 // carrying the client's owner id; lines are namespaced per owner, as in the
 // simulated store.
 //

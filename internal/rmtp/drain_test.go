@@ -3,12 +3,14 @@ package rmtp
 import (
 	"testing"
 	"time"
+
+	"repro/internal/memtable"
 )
 
 func ackLines(t *testing.T, c *Client, lines ...int32) {
 	t.Helper()
 	for _, l := range lines {
-		if err := c.StoreAck(l, []Entry{{Key: "k1", Count: 1}, {Key: "k2", Count: 2}}); err != nil {
+		if err := c.StoreAck(l, []memtable.Entry{{Key: "k1", Count: 1}, {Key: "k2", Count: 2}}); err != nil {
 			t.Fatalf("store line %d: %v", l, err)
 		}
 	}
@@ -125,7 +127,7 @@ func TestDrainFinishesInflightAndRefusesNew(t *testing.T) {
 	// A new session is refused: the listener is gone.
 	late, err := DialOptions(s.Addr(), "late", Options{Timeout: 300 * time.Millisecond})
 	if err == nil {
-		err = late.StoreAck(9, []Entry{{Key: "x", Count: 1}})
+		err = late.StoreAck(9, []memtable.Entry{{Key: "x", Count: 1}})
 		late.Close()
 	}
 	if err == nil {

@@ -3,6 +3,8 @@ package rmtp
 import (
 	"net"
 	"testing"
+
+	"repro/internal/memtable"
 )
 
 // rawSession dials the server without a Client and performs the Hello, so a
@@ -43,7 +45,7 @@ func TestFetchSurvivesConnectionKilledBeforeAck(t *testing.T) {
 	if err != nil || op != OpOK || line != 9 {
 		t.Fatalf("fetch-hold reply: op=%d line=%d err=%v", op, line, err)
 	}
-	got, err := DecodeEntries(payload)
+	got, err := memtable.DecodeEntries(payload)
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("fetch-hold entries: %d (%v)", len(got), err)
 	}
@@ -140,7 +142,7 @@ func TestLegacyFetchOpDropsConnection(t *testing.T) {
 		line    int32
 		payload []byte
 	}{
-		{2, 2, EncodeEntries(want)},
+		{2, 2, memtable.AppendEntries(nil, want)},
 		{3, 1, nil},
 		{4, 1, EncodeString(want[0].Key)},
 	} {

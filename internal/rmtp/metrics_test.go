@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/memtable"
 )
 
 // TestServerMetricsLoopback drives a store/fetch/update/stat sequence over
@@ -21,7 +23,7 @@ func TestServerMetricsLoopback(t *testing.T) {
 	}
 	defer c.Close()
 
-	entries := []Entry{{Key: "a", Count: 1}, {Key: "b", Count: 2}}
+	entries := []memtable.Entry{{Key: "a", Count: 1}, {Key: "b", Count: 2}}
 	if err := c.StoreAck(7, entries); err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,6 @@ const (
 	OpErr         Op = 17 // reply payload: error message
 )
 
-// Entry mirrors memtable.Entry on the wire.
-type Entry struct {
-	Key   string
-	Count int32
-}
-
 // maxFrame bounds a frame payload to keep a malformed peer from forcing a
 // huge allocation. MaxFrame is the exported protocol ceiling; servers may
 // enforce a lower per-instance cap (ServerOptions.MaxFrameBytes).
@@ -110,53 +104,6 @@ func ReadFrameMax(r io.Reader, max int) (op Op, line int32, payload []byte, err 
 		return 0, 0, nil, err
 	}
 	return op, line, payload, nil
-}
-
-// EncodeEntries serializes an entry list.
-func EncodeEntries(entries []Entry) []byte {
-	return AppendEntries(nil, entries)
-}
-
-// AppendEntries serializes an entry list onto buf (pooled-buffer form of
-// EncodeEntries).
-func AppendEntries(buf []byte, entries []Entry) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.AppendVarint(buf, int64(e.Count))
-	}
-	return buf
-}
-
-// DecodeEntries parses an entry list. The declared count is bounded by the
-// bytes that follow it (an entry takes at least 2: key length and count), so
-// a short payload claiming millions of entries fails before allocating.
-func DecodeEntries(b []byte) ([]Entry, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, errors.New("rmtp: bad entry count")
-	}
-	if n > uint64(len(b)-off)/2 {
-		return nil, fmt.Errorf("rmtp: entry count %d exceeds the %d-byte payload", n, len(b)-off)
-	}
-	out := make([]Entry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kl, m := binary.Uvarint(b[off:])
-		if m <= 0 || uint64(len(b)-off-m) < kl {
-			return nil, fmt.Errorf("rmtp: truncated key at entry %d", i)
-		}
-		off += m
-		key := string(b[off : off+int(kl)])
-		off += int(kl)
-		c, m := binary.Varint(b[off:])
-		if m <= 0 {
-			return nil, fmt.Errorf("rmtp: truncated count at entry %d", i)
-		}
-		off += m
-		out = append(out, Entry{Key: key, Count: int32(c)})
-	}
-	return out, nil
 }
 
 // EncodeString serializes a length-prefixed string.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/memtable"
 )
 
 func startServer(t *testing.T, capacity int64) *Server {
@@ -28,10 +30,10 @@ func dial(t *testing.T, s *Server, owner string) *Client {
 	return c
 }
 
-func entriesN(n int) []Entry {
-	out := make([]Entry, n)
+func entriesN(n int) []memtable.Entry {
+	out := make([]memtable.Entry, n)
 	for i := range out {
-		out[i] = Entry{Key: fmt.Sprintf("key-%03d", i), Count: int32(i)}
+		out[i] = memtable.Entry{Key: fmt.Sprintf("key-%03d", i), Count: int32(i)}
 	}
 	return out
 }
@@ -57,11 +59,11 @@ func TestEntriesEncodeDecodeProperty(t *testing.T) {
 		if len(counts) < n {
 			n = len(counts)
 		}
-		in := make([]Entry, n)
+		in := make([]memtable.Entry, n)
 		for i := 0; i < n; i++ {
-			in[i] = Entry{Key: keys[i], Count: counts[i]}
+			in[i] = memtable.Entry{Key: keys[i], Count: counts[i]}
 		}
-		out, err := DecodeEntries(EncodeEntries(in))
+		out, err := memtable.DecodeEntries(memtable.AppendEntries(nil, in))
 		if err != nil || len(out) != len(in) {
 			return false
 		}
@@ -95,10 +97,10 @@ func TestLinesAndStatEncodeDecode(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeEntries([]byte{}); err == nil {
+	if _, err := memtable.DecodeEntries([]byte{}); err == nil {
 		t.Error("empty entries accepted")
 	}
-	if _, err := DecodeEntries([]byte{0xFF}); err == nil {
+	if _, err := memtable.DecodeEntries([]byte{0xFF}); err == nil {
 		t.Error("truncated uvarint accepted")
 	}
 	if _, _, err := DecodeString([]byte{10, 'a'}); err == nil {
@@ -140,7 +142,7 @@ func TestStoreFetchOverLoopback(t *testing.T) {
 func TestUpdateAccumulatesRemotely(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "node-0")
-	if err := c.StoreAck(3, []Entry{{Key: "a"}, {Key: "b"}}); err != nil {
+	if err := c.StoreAck(3, []memtable.Entry{{Key: "a"}, {Key: "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -168,10 +170,10 @@ func TestOwnersAreNamespaced(t *testing.T) {
 	s := startServer(t, 0)
 	a := dial(t, s, "node-a")
 	b := dial(t, s, "node-b")
-	if err := a.StoreAck(1, []Entry{{Key: "from-a"}}); err != nil {
+	if err := a.StoreAck(1, []memtable.Entry{{Key: "from-a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.StoreAck(1, []Entry{{Key: "from-b"}}); err != nil {
+	if err := b.StoreAck(1, []memtable.Entry{{Key: "from-b"}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.Fetch(1)

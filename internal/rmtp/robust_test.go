@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/memtable"
 )
 
 // fakeServer accepts connections and hands each to handler (after consuming
@@ -81,7 +83,7 @@ func TestClientSurvivesServerKilledMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.StoreAck(1, []Entry{{Key: "a", Count: 1}}); err != nil {
+	if err := cl.StoreAck(1, []memtable.Entry{{Key: "a", Count: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Stat(); err != nil {
@@ -196,7 +198,7 @@ func TestCloseStaysClosed(t *testing.T) {
 	if _, err := cl.Stat(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stat after Close = %v, want ErrClosed", err)
 	}
-	if err := cl.StoreAck(1, []Entry{{Key: "a", Count: 1}}); !errors.Is(err, ErrClosed) {
+	if err := cl.StoreAck(1, []memtable.Entry{{Key: "a", Count: 1}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("StoreAck after Close = %v, want ErrClosed", err)
 	}
 	if err := cl.Close(); err != nil {
@@ -267,7 +269,7 @@ func TestIdempotentRetryReconnects(t *testing.T) {
 			if session == 0 {
 				return // kill the connection mid-request
 			}
-			if err := WriteFrame(conn, OpOK, line, EncodeEntries([]Entry{{Key: "x", Count: 3}})); err != nil {
+			if err := WriteFrame(conn, OpOK, line, memtable.AppendEntries(nil, []memtable.Entry{{Key: "x", Count: 3}})); err != nil {
 				return
 			}
 		}

@@ -11,11 +11,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memtable"
 	"repro/internal/trace"
 )
 
-// entryMemBytes mirrors the paper's 24-byte-per-candidate accounting.
-const entryMemBytes = 24
+// entryMemBytes is the paper's 24-byte-per-candidate accounting, as the
+// memtable charges it.
+const entryMemBytes = memtable.EntryMemBytes
 
 // replyBufBytes sizes a session's reply buffer: a window of fetch replies
 // for typical lines fits, so it goes out in one write.
@@ -59,7 +61,7 @@ type ServerOptions struct {
 // server and leaves a forwarding note.
 type Server struct {
 	mu       sync.Mutex
-	lines    map[ownerLine][]Entry
+	lines    map[ownerLine][]memtable.Entry
 	leased   map[ownerLine]bool   // served to the owner, awaiting release
 	forward  map[ownerLine]string // address lines migrated to
 	capacity int64
@@ -96,7 +98,7 @@ func NewServer(capacity int64) *Server {
 // NewServerOptions creates a server with explicit overload protection.
 func NewServerOptions(capacity int64, opts ServerOptions) *Server {
 	return &Server{
-		lines:    make(map[ownerLine][]Entry),
+		lines:    make(map[ownerLine][]memtable.Entry),
 		leased:   make(map[ownerLine]bool),
 		forward:  make(map[ownerLine]string),
 		capacity: capacity,
@@ -387,7 +389,7 @@ func (s *Server) reply(w io.Writer, op Op, line int32, payload []byte) error {
 
 // storeLocked replaces the line's entries, adjusting accounting. Caller
 // holds s.mu and has already checked capacity.
-func (s *Server) storeLocked(key ownerLine, entries []Entry, need int64) {
+func (s *Server) storeLocked(key ownerLine, entries []memtable.Entry, need int64) {
 	if old, ok := s.lines[key]; ok {
 		s.used -= int64(len(old)) * entryMemBytes
 	}
@@ -402,7 +404,7 @@ func (s *Server) handle(w io.Writer, owner string, op Op, line int32, payload []
 	key := ownerLine{owner, line}
 	switch op {
 	case OpStoreAck:
-		entries, err := DecodeEntries(payload)
+		entries, err := memtable.DecodeEntries(payload)
 		if err != nil {
 			return err
 		}
@@ -445,7 +447,7 @@ func (s *Server) handle(w io.Writer, owner string, op Op, line int32, payload []
 		if ok {
 			s.leased[key] = true
 			s.fetches++
-			*buf = AppendEntries((*buf)[:0], entries)
+			*buf = memtable.AppendEntries((*buf)[:0], entries)
 		}
 		s.mu.Unlock()
 		if !ok {
@@ -473,7 +475,8 @@ func (s *Server) handle(w io.Writer, owner string, op Op, line int32, payload []
 		// Apply a coalesced frame of updates in one lock acquisition. Each
 		// item names its own line; items for absent (e.g. since-fetched or
 		// migrated) lines are dropped. The string(kb) comparison below does
-		// not allocate.
+		// not allocate; passing string(kb) to memtable.Increment would, for
+		// keys longer than 32 bytes.
 		s.mu.Lock()
 		err := DecodeUpdateBatchFunc(payload, func(ln int32, kb []byte) {
 			entries, ok := s.lines[ownerLine{owner, ln}]
