@@ -45,6 +45,10 @@ func BenchmarkRMTPStoreFetchLoopback(b *testing.B) { perf.BenchRMTPStoreFetchLoo
 // copies, verified lease-then-delete fetches, failover rotation).
 func BenchmarkTCPPagerSwapLoopback(b *testing.B) { perf.BenchTCPPagerSwapLoopback(b) }
 
+// The miner's real swap shape on the same backend: 1,024 windowed
+// store-outs, then one pipelined FetchAll of them all.
+func BenchmarkTCPPagerEvictCollectLoopback(b *testing.B) { perf.BenchTCPPagerEvictCollectLoopback(b) }
+
 // Per-pass durability tax of the supervised TCP fleet: one atomic
 // checkpoint save plus the respawn-side load.
 func BenchmarkCheckpointPass(b *testing.B) { perf.BenchCheckpointPass(b) }

@@ -55,6 +55,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Store-outs ship in pipelined windows of 64 acked stores; Flush sends
+	// the partly filled last windows so the occupancy below counts them.
+	if err := pager.Flush(); err != nil {
+		log.Fatal(err)
+	}
 	occA, occB := srvA.Occupancy(), srvB.Occupancy()
 	fmt.Printf("swapped out %d lines: %d to node A, %d to node B\n", lines, occA.Lines, occB.Lines)
 

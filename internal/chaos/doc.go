@@ -22,8 +22,8 @@
 // The soak exercises the full hardened stack the TCP fleet runs: the rmtp
 // client's deadlines, jittered retries, retry budget, and circuit breaker;
 // the server's lease-then-delete fetches, capacity NACKs, and overload
-// protection; remotemem.TCPPager's shadow copies and connection-epoch
-// verification; and memtable.FallbackPager's failover to a spill file
+// protection; and remotemem.TCPPager's windowed store-outs, shadow copies,
+// connection-epoch verification and failover to its disk tier, a spill file
 // (memtable.FilePager). A schedule step can be traced (trace.KChaos),
 // stamping the operation counter in place of virtual time.
 //

@@ -68,8 +68,8 @@ type SoakReport struct {
 // RunSoak drives a seeded workload of real rmtp traffic through a
 // fault-injecting proxy against a real server, applying the schedule, and
 // checks the end-state invariants. The pager under test is the TCP fleet's
-// own: a FallbackPager whose primary is a one-server TCPPager dialed at the
-// proxy and whose secondary is a spill file. The invariants:
+// own: a one-server TCPPager dialed at the proxy, with a spill file as its
+// disk tier. The invariants:
 //
 //   - no lost lines/updates: every key's final count equals the locally
 //     computed model (the count a fault-free run produces),
@@ -116,8 +116,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	goroutinesBefore := runtime.NumGoroutine()
 	fdsBefore := countFDs()
 
-	// The stack under test: server <- proxy <- TCPPager <- FallbackPager,
-	// with a spill file as the fallback tier.
+	// The stack under test: server <- proxy <- TCPPager, with a spill file as
+	// the pager's disk tier.
 	handle, err := StartServer(cfg.ServerCapacity, cfg.ServerOptions)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		return nil, err
 	}
 	defer spill.Close()
-	pager := &memtable.FallbackPager{Primary: tp, Secondary: spill}
+	tp.SpillTo(spill)
 	p := transport.NewRealProc()
 
 	rep := &SoakReport{FinalCounts: make(map[string]int64), Ops: cfg.Ops}
@@ -195,13 +195,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			model[targets[u]]++
 		}
 
-		loc, err := pager.StoreOut(p, line, entries)
+		loc, err := tp.StoreOut(p, line, entries)
 		if err != nil {
 			firstErr = fmt.Errorf("op %d: store: %w", op, err)
 			break
 		}
 		for _, key := range targets {
-			if err := pager.Update(p, line, loc, key); err != nil {
+			if err := tp.Update(p, line, loc, key); err != nil {
 				firstErr = fmt.Errorf("op %d: update: %w", op, err)
 				break
 			}
@@ -209,7 +209,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		if firstErr != nil {
 			break
 		}
-		got, err := pager.FetchIn(p, line, loc)
+		got, err := tp.FetchIn(p, line, loc)
 		if err != nil {
 			firstErr = fmt.Errorf("op %d: fetch: %w", op, err)
 			break
@@ -220,7 +220,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	}
 
 	rep.Pager = tp.Stats()
-	rep.FallbackStores = pager.FallbackStores()
+	rep.FallbackStores = rep.Pager.FallbackStores
 	rep.Client = tp.ClientMetrics()
 	rep.Proxy = proxy.Stats()
 	if srv := handle.Server(); srv != nil {

@@ -301,7 +301,6 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 	pagers := make([]memtable.Pager, cfg.AppNodes)
 	tcpPagers := make([]*remotemem.TCPPager, cfg.AppNodes)
 	spillPagers := make([]*memtable.FilePager, cfg.AppNodes)
-	fallbacks := make([]*memtable.FallbackPager, cfg.AppNodes)
 	if cfg.LimitBytes > 0 {
 		for _, id := range local {
 			tp, err := remotemem.NewTCPPager(fmt.Sprintf("miner-%d", id), cfg.Servers, cfg.ClientOptions)
@@ -321,9 +320,7 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 				}
 				defer fp.Close()
 				spillPagers[id] = fp
-				fb := &memtable.FallbackPager{Primary: tp, Secondary: fp}
-				fallbacks[id] = fb
-				pagers[id] = fb
+				tp.SpillTo(fp)
 			}
 		}
 	}
@@ -411,11 +408,8 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 			r := &res.PerNode[id].Resilience
 			r.Failovers += st.Failovers
 			r.LinesLost += st.Recoveries
-		}
-		if fallbacks[id] != nil {
-			fb := fallbacks[id].FallbackStores()
-			info.Fallbacks[id] = fb
-			res.PerNode[id].Resilience.FallbackStores += fb
+			r.FallbackStores += st.FallbackStores
+			info.Fallbacks[id] = st.FallbackStores
 		}
 		if spillPagers[id] != nil {
 			st := spillPagers[id].Stats()

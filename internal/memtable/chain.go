@@ -6,11 +6,14 @@ import (
 	"repro/internal/transport"
 )
 
-// FallbackPager chains two pagers into a degraded-mode tier: store-outs go
-// to Primary (remote memory) and divert to Secondary (disk) when Primary
-// refuses or fails. The Location convention routes later operations: the
-// Primary places lines at Node >= 0, the Secondary at Node < 0, so FetchIn
-// and Update dispatch on the location without extra bookkeeping.
+// FallbackPager chains two pagers into a degraded-mode tier — the
+// simulator's chain of remote memory and swap disk: store-outs go to Primary
+// (remote memory) and divert to Secondary (disk) when Primary refuses or
+// fails. (The TCP pager settles refusals itself and keeps its own disk
+// tier, because its store-outs are acked only after StoreOut returns.) The
+// Location convention routes later operations: the Primary places lines at
+// Node >= 0, the Secondary at Node < 0, so FetchIn and Update dispatch on
+// the location without extra bookkeeping.
 //
 // This is the recovery path from the paper's failure scenario: when a
 // memory-available node dies, its client keeps mining with disk-speed
@@ -49,28 +52,6 @@ func (f *FallbackPager) FetchIn(p transport.Proc, line int, loc Location) ([]Ent
 		return nil, fmt.Errorf("memtable: line %d routed to the fallback tier, but none is configured", line)
 	}
 	return f.Secondary.FetchIn(p, line, loc)
-}
-
-// FetchAll forwards the lines at Node >= 0 to Primary in one sweep when
-// Primary is a BulkFetcher, and fetches the rest one at a time by tier.
-func (f *FallbackPager) FetchAll(p transport.Proc, lines []Swapped, got func(line int, entries []Entry)) error {
-	bulk, ok := f.Primary.(BulkFetcher)
-	var primary []Swapped
-	for _, sl := range lines {
-		if ok && sl.Loc.Node >= 0 {
-			primary = append(primary, sl)
-			continue
-		}
-		entries, err := f.FetchIn(p, sl.Line, sl.Loc)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", sl.Line, err)
-		}
-		got(sl.Line, entries)
-	}
-	if len(primary) == 0 {
-		return nil
-	}
-	return bulk.FetchAll(p, primary, got)
 }
 
 // Update routes by the location's tier.

@@ -100,100 +100,3 @@ func TestCollectMinCount(t *testing.T) {
 		})
 	}
 }
-
-// bulkChainPager is a chainPager that also fetches in bulk, recording the
-// lines it was handed.
-type bulkChainPager struct {
-	*chainPager
-	bulkLines []Swapped
-}
-
-func (b *bulkChainPager) FetchAll(p transport.Proc, lines []Swapped, got func(int, []Entry)) error {
-	b.bulkLines = append(b.bulkLines, lines...)
-	for _, sl := range lines {
-		entries, err := b.FetchIn(p, sl.Line, sl.Loc)
-		if err != nil {
-			return err
-		}
-		got(sl.Line, entries)
-	}
-	return nil
-}
-
-// TestFallbackPagerForwardsBulkFetches: with lines on both tiers, Collect
-// through a FallbackPager hands the primary's lines to the primary's
-// FetchAll and fetches the disk tier's lines one at a time, with the same
-// entries and counters as a primary that fetches per line.
-func TestFallbackPagerForwardsBulkFetches(t *testing.T) {
-	build := func(p *sim.Proc, primary *chainPager, fb *FallbackPager) *Table {
-		tab, err := New(Config{Lines: 12, LimitBytes: 6 * EntryMemBytes}, fb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 36; i++ {
-			if err := tab.Insert(p, i%12, key(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The primary refuses from here on: inserts into lines 0-3 evict
-		// to disk, while most of lines 4-11 stay on the primary.
-		primary.refuse = true
-		for i := 36; i < 48; i++ {
-			if err := tab.Insert(p, i%4, key(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tab
-	}
-	runInSim(t, func(p *sim.Proc) {
-		plainPrimary, plainDisk := newChainPager(2), newChainPager(-1)
-		plain := build(p, plainPrimary, &FallbackPager{Primary: plainPrimary, Secondary: plainDisk})
-		bulkPrimary := &bulkChainPager{chainPager: newChainPager(2)}
-		bulkDisk := newChainPager(-1)
-		bulk := build(p, bulkPrimary.chainPager, &FallbackPager{Primary: bulkPrimary, Secondary: bulkDisk})
-
-		var remote, disk int
-		for _, loc := range bulk.OutLines() {
-			if loc.Node >= 0 {
-				remote++
-			} else {
-				disk++
-			}
-		}
-		if remote == 0 || disk == 0 {
-			t.Fatalf("%d remote and %d disk lines: the test needs both tiers", remote, disk)
-		}
-
-		plainBefore, bulkBefore := plainDisk.fetches, bulkDisk.fetches
-		want, err := plain.Collect(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bulk.Collect(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d entries, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		if ps, bs := plain.Stats(), bulk.Stats(); ps != bs {
-			t.Errorf("stats: bulk %+v, per-line %+v", bs, ps)
-		}
-		if len(bulkPrimary.bulkLines) != remote {
-			t.Errorf("primary FetchAll got %d lines, want the %d remote ones", len(bulkPrimary.bulkLines), remote)
-		}
-		for _, sl := range bulkPrimary.bulkLines {
-			if sl.Loc.Node < 0 {
-				t.Errorf("disk line %d forwarded to the primary", sl.Line)
-			}
-		}
-		if b, pl := bulkDisk.fetches-bulkBefore, plainDisk.fetches-plainBefore; b != disk || pl != disk {
-			t.Errorf("disk fetches in Collect: bulk %d, per-line %d, want %d", b, pl, disk)
-		}
-	})
-}

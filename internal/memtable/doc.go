@@ -26,13 +26,13 @@
 //   - Pager: the interface to the swap device (StoreOut, FetchIn, Update).
 //     Implemented by remotemem.Client (the simulated remote memory),
 //     disk.SwapPager (the simulated swap disk), remotemem.TCPPager (real
-//     rmserverd processes over TCP), FilePager (a local spill file of
-//     AppendEntries records) and FallbackPager (a remote tier that diverts
-//     refused stores to a disk tier).
+//     rmserverd processes over TCP, with a FilePager as its disk tier),
+//     FilePager (a local spill file of AppendEntries records) and
+//     FallbackPager (the simulator's remote tier that diverts refused
+//     stores to a disk tier).
 //   - BulkFetcher: an optional pager interface (FetchAll) that brings many
 //     swapped-out lines home in one sweep. TCPPager implements it with
-//     pipelined fetch windows; FallbackPager forwards its remote tier's
-//     lines to its primary's FetchAll.
+//     pipelined fetch windows.
 //   - Collect(p, minCount): the end of a counting pass. It faults every
 //     swapped-out line home — through FetchAll when the pager has it, one
 //     FetchIn per line otherwise — and returns only the entries whose count

@@ -8,12 +8,13 @@ import (
 	"repro/internal/transport"
 )
 
-// FilePager spills hash lines to a real local file — the disk tier behind
-// FallbackPager on the live TCP path, where the simulator's virtual-cost
-// SwapPager cannot be used. The file is append-only: a fetch or update
+// FilePager spills hash lines to a real local file — the disk tier of the
+// TCP pager (remotemem.TCPPager.SpillTo) on the live TCP path, where the
+// simulator's virtual-cost SwapPager cannot be used, and on its own the
+// out-of-core miner's spill. The file is append-only: a fetch or update
 // abandons the line's old extent, which is fine for a spill that is dropped
-// (or Reset) when the pass ends. Lines are placed at Location{Node: -1} so
-// FallbackPager routes later operations back here.
+// (or Reset) when the pass ends. Lines are placed at Location{Node: -1}, so
+// a FallbackPager routes later operations back here.
 type FilePager struct {
 	mu    sync.Mutex
 	f     *os.File

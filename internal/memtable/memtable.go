@@ -78,7 +78,12 @@ type Location struct {
 // Pager moves hash lines in and out of local memory. Implementations charge
 // all virtual-time costs (network, service, disk) on the calling process.
 type Pager interface {
-	// StoreOut ships a line out and returns where it was placed.
+	// StoreOut ships a line out and returns where it was placed: the
+	// pager's first choice. A pager that settles stores after returning
+	// (remotemem.TCPPager) may place the line elsewhere later and routes
+	// by its own record, not by the Location it is handed back. The pager
+	// may keep entries until the store settles; the caller must not modify
+	// them.
 	StoreOut(p transport.Proc, line int, entries []Entry) (Location, error)
 	// FetchIn retrieves a previously stored line, releasing the remote/disk
 	// copy.

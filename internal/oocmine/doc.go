@@ -15,8 +15,9 @@
 // collects the counts, returning the standard apriori.Result (cross-checked
 // against sequential Apriori in tests) plus the summed memtable.Stats. The
 // table and the pagers are the ones the TCP fleet runs: the caller passes a
-// remotemem.TCPPager for rmtp servers (acked stores, shadow copies,
-// connection-epoch-verified fetches), a memtable.FilePager for a local spill
-// file, or a memtable.FallbackPager chaining the two. The root package's
+// remotemem.TCPPager for rmtp servers (windowed acked stores, shadow
+// copies, connection-epoch-verified fetches), optionally with a
+// memtable.FilePager as its disk tier (SpillTo), or a memtable.FilePager on
+// its own for a local spill file. The root package's
 // MineOutOfCore builds that pager from an OOCConfig.
 package oocmine

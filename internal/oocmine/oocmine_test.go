@@ -180,9 +180,9 @@ func TestResilientMineEndToEnd(t *testing.T) {
 	txns, want := workload(t)
 	addrs, _ := startServers(t, 1, 16*memtable.EntryMemBytes)
 	tp := tcpPager(t, "miner", addrs)
-	fb := &memtable.FallbackPager{Primary: tp, Secondary: filePager(t)}
+	tp.SpillTo(filePager(t))
 
-	got, _, err := Mine(txns, spilling(memtable.RemoteUpdate, fb))
+	got, _, err := Mine(txns, spilling(memtable.RemoteUpdate, tp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestResilientMineEndToEnd(t *testing.T) {
 	if st := tp.Stats(); st.Mismatches != 0 {
 		t.Errorf("Mismatches = %d, want 0", st.Mismatches)
 	}
-	if fb.FallbackStores() == 0 {
+	if st := tp.Stats(); st.FallbackStores == 0 {
 		t.Error("expected capacity failovers against a 16-entry server")
 	}
 }

@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -286,8 +287,11 @@ func BenchRMTPStoreFetchLoopback(b *testing.B) {
 // uses under -transport=tcp: a remotemem.TCPPager store-out + fetch-in
 // round trip against a two-server fleet, including the shadow-copy
 // bookkeeping and the verified (lease-then-delete) fetch path — the cost of
-// one real pagefault as the mining pipeline actually pays it, not just the
-// raw protocol round trip.
+// one real pagefault as the mining pipeline pays it when it faults a line
+// straight back, not just the raw protocol round trip. Store-outs are
+// windowed, so the fetch-in ships the line's store window first, holding
+// just that line: this measures a one-line window
+// (BenchTCPPagerEvictCollectLoopback measures full ones).
 func BenchTCPPagerSwapLoopback(b *testing.B) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -325,6 +329,64 @@ func BenchTCPPagerSwapLoopback(b *testing.B) {
 	b.ReportMetric(float64(st.VerifiedFetches), "verified-fetches")
 	b.ReportMetric(float64(st.Mismatches), "mismatches")
 	b.ReportMetric(float64(st.Failovers), "failovers")
+}
+
+// BenchTCPPagerEvictCollectLoopback measures the swap shape a mining pass
+// actually has on the TCP backend: many evictions, then Collect bringing
+// every swapped-out line home. One op is 1,024 TCPPager store-outs (acked
+// in pipelined windows of 64) followed by one FetchAll of every line
+// (pipelined lease-then-delete windows) against a two-server loopback
+// fleet; ns/line and allocs/line divide the op by its lines.
+func BenchTCPPagerEvictCollectLoopback(b *testing.B) {
+	const lines = 1024
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		s := rmtp.NewServer(0)
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		addrs = append(addrs, s.Addr())
+	}
+	tp, err := remotemem.NewTCPPager("bench", addrs, rmtp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tp.Close()
+	p := transport.NewRealProc()
+	entries := make([]memtable.Entry, 6)
+	for i := range entries {
+		entries[i] = memtable.Entry{Key: fmt.Sprintf("key-%03d", i), Count: int32(i)}
+	}
+	swapped := make([]memtable.Swapped, lines)
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		for line := range swapped {
+			loc, err := tp.StoreOut(p, line, entries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			swapped[line] = memtable.Swapped{Line: line, Loc: loc}
+		}
+		n := 0
+		if err := tp.FetchAll(p, swapped, func(int, []memtable.Entry) { n++ }); err != nil {
+			b.Fatal(err)
+		}
+		if n != lines {
+			b.Fatalf("FetchAll returned %d lines, want %d", n, lines)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	perLine := float64(b.N) * lines
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perLine, "allocs/line")
+	st := tp.Stats()
+	b.ReportMetric(float64(st.VerifiedFetches), "verified-fetches")
+	b.ReportMetric(float64(st.Mismatches), "mismatches")
 }
 
 // BenchCheckpointPass measures the per-pass durability tax the supervised
@@ -404,6 +466,7 @@ func Benchmarks() []Benchmark {
 		{"PublicAPIQuickstart", "public API", BenchPublicAPIQuickstart},
 		{"RMTPStoreFetchLoopback", "§4.2 pagefault cost", BenchRMTPStoreFetchLoopback},
 		{"TCPPagerSwapLoopback", "§4.2 pagefault cost", BenchTCPPagerSwapLoopback},
+		{"TCPPagerEvictCollectLoopback", "§4.3 swap-out and collect", BenchTCPPagerEvictCollectLoopback},
 		{"CheckpointPass", "fault tolerance", BenchCheckpointPass},
 		{"Pass2CountFlat", "§3 pass-2 kernel", BenchPass2CountFlat},
 		{"Pass2CountHTree", "§3 pass-2 kernel", BenchPass2CountHTree},

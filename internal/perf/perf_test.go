@@ -369,7 +369,7 @@ func TestBenchmarkRegistry(t *testing.T) {
 		"Fig3Resolved16MemNodes", "Table4NoLimitBase", "Table4Fault13MB",
 		"Fig4DiskSwap", "Fig4SimpleSwap", "Fig4RemoteUpdate", "Fig5Migration",
 		"PublicAPIQuickstart", "RMTPStoreFetchLoopback", "TCPPagerSwapLoopback",
-		"CheckpointPass",
+		"TCPPagerEvictCollectLoopback", "CheckpointPass",
 		"Pass2CountFlat", "Pass2CountHTree",
 		"Pass2CountFlatUniform", "Pass2CountHTreeUniform",
 		"RMTPUpdateBatchLoopback",

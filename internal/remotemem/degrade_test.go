@@ -19,7 +19,8 @@ func startTinyFleet(t *testing.T, n int) []string {
 }
 
 // TestStoreOutErrorsWhenFleetExhausted: with every server NACKing, the bare
-// TCPPager fails the store (no silent drop) and counts the refusals.
+// TCPPager fails the store when its window settles (no silent drop) and
+// counts the refusals.
 func TestStoreOutErrorsWhenFleetExhausted(t *testing.T) {
 	addrs := startTinyFleet(t, 2)
 	tp, err := NewTCPPager("d1", addrs, testOpts())
@@ -29,7 +30,10 @@ func TestStoreOutErrorsWhenFleetExhausted(t *testing.T) {
 	defer tp.Close()
 
 	p := transport.NewRealProc()
-	_, err = tp.StoreOut(p, 1, entries("aaaa", 1, "bbbb", 2, "cccc", 3))
+	if _, err := tp.StoreOut(p, 1, entries("aaaa", 1, "bbbb", 2, "cccc", 3)); err != nil {
+		t.Fatalf("store-out with an unsent window: %v", err)
+	}
+	err = tp.Flush()
 	if err == nil {
 		t.Fatal("store succeeded against an exhausted fleet")
 	}
@@ -46,8 +50,8 @@ func TestStoreOutErrorsWhenFleetExhausted(t *testing.T) {
 }
 
 // TestFallbackDivertsToDiskOnFleetExhaustion is the backpressure acceptance
-// path: the whole fleet refuses, the FallbackPager diverts the line to the
-// local spill file, and the line fetches back intact.
+// path: the whole fleet refuses, the pager diverts the line to its disk tier,
+// a local spill file, and the line fetches back intact.
 func TestFallbackDivertsToDiskOnFleetExhaustion(t *testing.T) {
 	addrs := startTinyFleet(t, 2)
 	tp, err := NewTCPPager("d2", addrs, testOpts())
@@ -60,21 +64,24 @@ func TestFallbackDivertsToDiskOnFleetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fp.Close()
-	fb := &memtable.FallbackPager{Primary: tp, Secondary: fp}
+	tp.SpillTo(fp)
 
 	p := transport.NewRealProc()
 	in := entries("aaaa", 1, "bbbb", 2, "cccc", 3)
-	loc, err := fb.StoreOut(p, 1, in)
+	loc, err := tp.StoreOut(p, 1, in)
 	if err != nil {
 		t.Fatalf("store with a disk tier behind an exhausted fleet: %v", err)
 	}
-	if loc.Node >= 0 {
-		t.Fatalf("line placed at node %d, want the disk tier (negative)", loc.Node)
+	if err := tp.Flush(); err != nil {
+		t.Fatalf("settling a store with a disk tier behind an exhausted fleet: %v", err)
 	}
-	if fb.FallbackStores() != 1 {
-		t.Errorf("FallbackStores = %d, want 1", fb.FallbackStores())
+	if h := holderOf(tp, 1); h >= 0 {
+		t.Fatalf("line placed at node %d, want the disk tier (negative)", h)
 	}
-	got, err := fb.FetchIn(p, 1, loc)
+	if st := tp.Stats(); st.FallbackStores != 1 {
+		t.Errorf("FallbackStores = %d, want 1", st.FallbackStores)
+	}
+	got, err := tp.FetchIn(p, 1, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +111,14 @@ func TestStoreFailoverOnDeadServer(t *testing.T) {
 	dead.Close()
 
 	p := transport.NewRealProc()
-	loc, err := tp.StoreOut(p, 1, entries("k", 1))
-	if err != nil {
+	if _, err := tp.StoreOut(p, 1, entries("k", 1)); err != nil {
 		t.Fatalf("store with one dead server: %v", err)
 	}
-	if loc.Node != 1 {
-		t.Errorf("line placed on server %d, want the live server 1", loc.Node)
+	if err := tp.Flush(); err != nil {
+		t.Fatalf("settling a store with one dead server: %v", err)
+	}
+	if h := holderOf(tp, 1); h != 1 {
+		t.Errorf("line placed on server %d, want the live server 1", h)
 	}
 	st := tp.Stats()
 	if st.Failovers == 0 {
@@ -139,13 +148,17 @@ func TestPressureAwareRotationShedsToQuietServers(t *testing.T) {
 	defer tp.Close()
 
 	p := transport.NewRealProc()
-	// Line 0: rotation starts at server 0, which accepts and flags pressure.
+	// Line 0: rotation starts at server 0, which accepts and flags pressure
+	// when the line's window settles.
 	loc, err := tp.StoreOut(p, 0, entries("k1", 1, "k2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loc.Node != 0 {
-		t.Fatalf("first line on server %d, want 0", loc.Node)
+	if err := tp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if loc.Node != 0 || holderOf(tp, 0) != 0 {
+		t.Fatalf("first line on server %d (first choice %d), want 0", holderOf(tp, 0), loc.Node)
 	}
 	// Line 1: rotation's first choice is server 1 anyway.
 	if _, err := tp.StoreOut(p, 1, entries("k1", 1)); err != nil {
@@ -203,4 +216,12 @@ func TestResetClearsFleetAndLocalMap(t *testing.T) {
 	if got, err := tp.FetchIn(p, 9, loc); err != nil || len(got) != 1 || got[0].Count != 5 {
 		t.Fatalf("post-reset round trip = %v, %v", got, err)
 	}
+}
+
+// holderOf returns where the pager's ledger places line: a fleet index, or
+// onDisk.
+func holderOf(tp *TCPPager, line int) int {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return tp.lines[line].holder
 }

@@ -29,7 +29,11 @@
 // The simulated Client sends the paper's one UpdateMsg per increment, by
 // design: the Table-4 calibration and the golden traces rest on it.
 // TCPPager, the real-TCP pager, has one update path too: it coalesces
-// increments per server into rmtp OpUpdateBatch frames. It also implements
+// increments per server into rmtp OpUpdateBatch frames. Its store-outs are
+// windowed the same way (rmtp StoreMany): StoreOut queues the line and
+// returns its first-choice server, and the pager settles each line once its
+// ack arrives — placed, moved to the next server, or moved to its disk tier
+// (SpillTo) — so refusal is deferred. It also implements
 // memtable.BulkFetcher: at the end of a counting pass it brings every
 // swapped-out line home in pipelined windows (rmtp FetchMany), verifying
 // each against its shadow exactly as a single fetch is verified. The

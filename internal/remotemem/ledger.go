@@ -27,8 +27,9 @@ type placement struct {
 	// authoritative and the remote copy is never served.
 	tainted bool
 
-	epoch  uint64 // TCPPager: holder's ConnEpoch at the line's last remote write
-	oneWay bool   // TCPPager: that write was an unconfirmed one-way update frame
+	epoch   uint64 // TCPPager: holder's ConnEpoch at the line's last remote write
+	oneWay  bool   // TCPPager: that write was an unconfirmed one-way update frame
+	pending bool   // TCPPager: in holder's store window, not yet accepted
 }
 
 // ledger is a pager's set of placed lines, keyed by line id.

@@ -2,6 +2,7 @@ package remotemem_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +47,15 @@ func newPager(t *testing.T, owner string, addrs ...string) *remotemem.TCPPager {
 	}
 	t.Cleanup(func() { tp.Close() })
 	return tp
+}
+
+// settle ships the pager's unsent store windows and fails the test on a
+// refusal.
+func settle(t *testing.T, tp *remotemem.TCPPager) {
+	t.Helper()
+	if err := tp.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // sideUpdate applies one extra increment to owner's stored line behind the
@@ -225,6 +235,7 @@ func TestTCPPagerMismatchIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(t, tp) // the side update must find the line stored
 	sideUpdate(t, srv.Addr(), "mismatch", 6, "k")
 
 	_, err = tp.FetchIn(p, 6, loc)
@@ -249,6 +260,7 @@ func TestTCPPagerUpdateSendFailureTaints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(t, tp) // the store is acked on the connection the reset kills
 	px.ResetAll() // RST: the next one-way write on this connection fails
 	for i := 0; i < 2; i++ {
 		if err := tp.Update(p, 4, loc, "k"); err != nil {
@@ -366,6 +378,7 @@ func TestTCPPagerFetchAllCountsLikeFetchIn(t *testing.T) {
 			}
 			lines = append(lines, memtable.Swapped{Line: line, Loc: loc})
 		}
+		settle(t, tp) // the stores are acked on the connection the reset kills
 		px.ResetAll()
 		if err := tp.Update(p, 0, lines[0].Loc, "k"); err != nil { // its frame will fail
 			t.Fatal(err)
@@ -415,4 +428,190 @@ func equalEntries(a, b []memtable.Entry) bool {
 		}
 	}
 	return true
+}
+
+// TestTCPPagerStoreWindowSurvivesCut: the connection is cut after a store
+// window's frames are written and before its acks arrive. The retried window
+// re-stores the same lines on a new connection, so no line is lost or
+// counted twice: the server holds each line once, every line fetches back
+// equal to what was stored, and the server ends holding nothing.
+func TestTCPPagerStoreWindowSurvivesCut(t *testing.T) {
+	srv := startServer(t)
+	px := startProxy(t, srv.Addr())
+	// A long backoff leaves time to lift the fault before the retry.
+	tp, err := remotemem.NewTCPPager("cutstore", []string{px.Addr()},
+		rmtp.Options{Timeout: 2 * time.Second, Retries: 2, Backoff: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tp.Close() })
+	p := transport.NewRealProc()
+
+	const nLines = 20 // one window, small enough to cross the proxy in one chunk
+	stored := make([][]memtable.Entry, nLines)
+	windowBytes := 0
+	var lines []memtable.Swapped
+	for line := range stored {
+		for k := 0; k < 5; k++ {
+			stored[line] = append(stored[line], memtable.Entry{Key: fmt.Sprintf("line%03d-key%03d", line, k), Count: int32(k + line)})
+		}
+		windowBytes += 9 + len(memtable.AppendEntries(nil, stored[line]))
+		loc, err := tp.StoreOut(p, line, stored[line])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, memtable.Swapped{Line: line, Loc: loc})
+	}
+	// The cut fires once the window's bytes have crossed; the latency holds
+	// the server's acks back until the connection is gone.
+	px.SetFaults(chaos.Faults{CutAfterBytes: int64(windowBytes), Latency: 20 * time.Millisecond})
+	lifted := make(chan struct{})
+	go func() {
+		defer close(lifted)
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if px.Stats().Cuts > 0 {
+				px.SetFaults(chaos.Faults{})
+				return
+			}
+		}
+	}()
+	if err := tp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	<-lifted
+	if cuts := px.Stats().Cuts; cuts != 1 {
+		t.Fatalf("proxy cut %d connections, want 1", cuts)
+	}
+	if m := tp.ClientMetrics(); m.Retries == 0 {
+		t.Error("no retry: the cut did not land inside the window")
+	}
+	if m := srv.Metrics(); m.HeldLines != nLines {
+		t.Errorf("server holds %d lines after the retried window, want %d", m.HeldLines, nLines)
+	}
+	if st := tp.Stats(); st.Stores != nLines || st.Failovers != 0 {
+		t.Errorf("stats = %+v, want %d stores and no refusal", st, nLines)
+	}
+
+	got := make(map[int][]memtable.Entry)
+	if err := tp.FetchAll(p, lines, func(line int, entries []memtable.Entry) { got[line] = entries }); err != nil {
+		t.Fatal(err)
+	}
+	for line, want := range stored {
+		if !equalEntries(got[line], want) {
+			t.Errorf("line %d: %v, want %v", line, got[line], want)
+		}
+	}
+	if st := tp.Stats(); st.VerifiedFetches != nLines || st.Recoveries != 0 || st.Mismatches != 0 {
+		t.Errorf("stats = %+v, want %d verified fetches", st, nLines)
+	}
+	if m := srv.Metrics(); m.HeldLines != 0 || m.LeasedLines != 0 {
+		t.Errorf("server: %d held / %d leased, want 0/0", m.HeldLines, m.LeasedLines)
+	}
+}
+
+// TestTCPPagerRefusalMidWindow: a capacity NACK on one line in the middle of
+// a store window, after updates to that line were queued, places that line
+// on the next server — or, in a one-server fleet, on the disk tier — as its
+// shadow, while the window's other lines are stored exactly once where they
+// were sent. Every line fetches back with its updates.
+func TestTCPPagerRefusalMidWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fleet int // 1: the refused line goes to disk; 2: to server 1
+	}{{"next-server", 2}, {"disk", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Server 0 has room for its window's small lines but not for the
+			// big one; server 1 has room for anything.
+			small := rmtp.NewServer(6 * memtable.EntryMemBytes)
+			if err := small.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { small.Close() })
+			px := startProxy(t, small.Addr())
+			addrs := []string{px.Addr()}
+			var big *rmtp.Server
+			if tc.fleet == 2 {
+				big = startServer(t)
+				addrs = append(addrs, big.Addr())
+			}
+			tp := newPager(t, "nack", addrs...)
+			spill, err := memtable.NewFilePager(filepath.Join(t.TempDir(), "spill.dat"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { spill.Close() })
+			tp.SpillTo(spill)
+			p := transport.NewRealProc()
+
+			// Lines rotate over the fleet; the refused line is the third of
+			// server 0's window either way.
+			nLines := 5 * tc.fleet
+			refused := 2 * tc.fleet
+			want := make(map[int][]memtable.Entry)
+			var lines []memtable.Swapped
+			for line := 0; line < nLines; line++ {
+				in := []memtable.Entry{{Key: fmt.Sprintf("k%d", line), Count: int32(line)}}
+				if line == refused {
+					in = nil
+					for k := 0; k < 8; k++ {
+						in = append(in, memtable.Entry{Key: fmt.Sprintf("big%d", k), Count: 1})
+					}
+				}
+				loc, err := tp.StoreOut(p, line, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, memtable.Swapped{Line: line, Loc: loc})
+				want[line] = append([]memtable.Entry(nil), in...)
+			}
+			for i := 0; i < 3; i++ {
+				if err := tp.Update(p, refused, lines[refused].Loc, "big0"); err != nil {
+					t.Fatal(err)
+				}
+				want[refused][0].Count++
+			}
+			if err := tp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			st := tp.Stats()
+			if st.CapacityNacks != 1 || st.Failovers != 1 {
+				t.Errorf("stats = %+v, want one capacity NACK", st)
+			}
+			onServers := uint64(nLines)
+			if tc.fleet == 1 {
+				onServers--
+				if st.FallbackStores != 1 || spill.Stats().Stores != 1 {
+					t.Errorf("%d fallback stores, %d spill stores, want 1 and 1", st.FallbackStores, spill.Stats().Stores)
+				}
+			} else if st.FallbackStores != 0 {
+				t.Errorf("%d fallback stores with a server to spare", st.FallbackStores)
+			}
+			if st.Stores != onServers {
+				t.Errorf("%d stores, want %d", st.Stores, onServers)
+			}
+			smallStores, _, _, _ := small.Stats()
+			if m := small.Metrics(); smallStores != 5-1 || m.HeldLines != 5-1 {
+				t.Errorf("server 0: %d stores, %d held, want 4 and 4", smallStores, m.HeldLines)
+			}
+			if big != nil {
+				if bigStores, _, _, _ := big.Stats(); bigStores != 5+1 || big.Metrics().HeldLines != 5+1 {
+					t.Errorf("server 1: %d stores, %d held, want 6 and 6", bigStores, big.Metrics().HeldLines)
+				}
+			}
+
+			got := make(map[int][]memtable.Entry)
+			if err := tp.FetchAll(p, lines, func(line int, e []memtable.Entry) { got[line] = e }); err != nil {
+				t.Fatal(err)
+			}
+			for line, w := range want {
+				if !equalEntries(got[line], w) {
+					t.Errorf("line %d: %v, want %v", line, got[line], w)
+				}
+			}
+			if st := tp.Stats(); st.VerifiedFetches != onServers || st.Mismatches != 0 || st.Recoveries != 0 {
+				t.Errorf("stats = %+v, want %d verified fetches", st, onServers)
+			}
+		})
+	}
 }

@@ -305,14 +305,14 @@ func (c *Client) send(op Op, line int32, payload []byte) error {
 	return nil
 }
 
-// exchangeLocked writes one request frame per line back to back, all with
-// the same payload, and reads the replies in order, handing each to reply.
-// One line is a plain request/reply; many are a pipelined window, answered
-// by the server in one write. Any transport error — including a reply for
-// the wrong line, which means the stream is desynchronized — closes the
-// connection: a later operation reconnects rather than reading a stale reply
-// (silent corruption).
-func (c *Client) exchangeLocked(op Op, lines []int32, payload []byte, reply func(i int, rop Op, rpayload []byte)) error {
+// exchangeLocked writes one request frame per line back to back, frame i
+// carrying payloads[i] (nil payloads: every frame empty), in one write, and
+// reads the replies in order, handing each to reply. One line is a plain
+// request/reply; many are a pipelined window, answered by the server in one
+// write. Any transport error — including a reply for the wrong line, which
+// means the stream is desynchronized — closes the connection: a later
+// operation reconnects rather than reading a stale reply (silent corruption).
+func (c *Client) exchangeLocked(op Op, lines []int32, payloads [][]byte, reply func(i int, rop Op, rpayload []byte)) error {
 	start := time.Now()
 	if err := c.breakerAllowLocked(); err != nil {
 		return err
@@ -327,11 +327,22 @@ func (c *Client) exchangeLocked(op Op, lines []int32, payload []byte, reply func
 		c.failLocked()
 		return err
 	}
-	for _, line := range lines {
-		if err := WriteFrame(c.bw, op, line, payload); err != nil {
-			c.failLocked()
-			return err
+	frames := getEncBuf()
+	defer putEncBuf(frames)
+	*frames = (*frames)[:0]
+	for i, line := range lines {
+		var payload []byte
+		if payloads != nil {
+			payload = payloads[i]
 		}
+		if len(payload) > maxFrame {
+			return fmt.Errorf("rmtp: frame payload %d: %w", len(payload), ErrFrameTooLarge)
+		}
+		*frames = appendFrame(*frames, op, line, payload)
+	}
+	if _, err := c.bw.Write(*frames); err != nil {
+		c.failLocked()
+		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		c.failLocked()
@@ -354,7 +365,11 @@ func (c *Client) exchangeLocked(op Op, lines []int32, payload []byte, reply func
 			c.failLocked()
 			return fmt.Errorf("rmtp: reply for line %d, want %d (connection desynchronized, closed)", rline, line)
 		}
-		c.observeCallLocked(start, len(payload), len(rpayload))
+		sent := 0
+		if payloads != nil {
+			sent = len(payloads[i])
+		}
+		c.observeCallLocked(start, sent, len(rpayload))
 		reply(i, rop, rpayload)
 	}
 	c.noteSuccessLocked()
@@ -363,7 +378,7 @@ func (c *Client) exchangeLocked(op Op, lines []int32, payload []byte, reply func
 
 // callLocked runs one request/reply exchange.
 func (c *Client) callLocked(op Op, line int32, payload []byte) (rop Op, rpayload []byte, err error) {
-	err = c.exchangeLocked(op, []int32{line}, payload, func(_ int, o Op, b []byte) { rop, rpayload = o, b })
+	err = c.exchangeLocked(op, []int32{line}, [][]byte{payload}, func(_ int, o Op, b []byte) { rop, rpayload = o, b })
 	return rop, rpayload, err
 }
 
@@ -450,41 +465,81 @@ func (c *Client) callIdempotent(op Op, exchange func() error) error {
 	return lastErr
 }
 
-// encPool recycles payload encode buffers so steady-state traffic (acked
-// stores, update batches) allocates nothing per encode.
+// encPool recycles encode buffers (store windows, update batches, the
+// frames of one exchange) so steady-state traffic allocates nothing per
+// encode.
 var encPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getEncBuf() *[]byte  { return encPool.Get().(*[]byte) }
 func putEncBuf(b *[]byte) { encPool.Put(b) }
 
-// StoreAck ships a line's entries and waits for the server's acceptance.
-// A server over its memory budget refuses with a capacity NACK, surfaced as
-// an error matching ErrCapacity, so the caller can divert the line to a
-// fallback tier instead of losing it. Retried (storing is idempotent: a
-// duplicate store replaces the same line).
-func (c *Client) StoreAck(line int32, entries []memtable.Entry) error {
-	buf := getEncBuf()
-	*buf = memtable.AppendEntries((*buf)[:0], entries)
-	op, payload, err := c.callRetried(OpStoreAck, line, *buf)
-	putEncBuf(buf)
-	if err != nil {
-		return err
+// StoreAck ships one line's entries and waits for the server's acceptance:
+// StoreMany of that line.
+func (c *Client) StoreAck(line int32, entries []memtable.Entry) (err error) {
+	c.StoreMany([]int32{line}, [][]memtable.Entry{entries}, func(_ int, e error) { err = e })
+	return err
+}
+
+// StoreMany ships lines' entries (entries[i] is line lines[i]) in pipelined
+// windows of up to window lines: each window is encoded into one pooled
+// buffer, written back to back in one write, and its acks read in order. A
+// server over its memory budget refuses a line with a capacity NACK,
+// surfaced as an error matching ErrCapacity, so the caller can place the line
+// elsewhere instead of losing it; a NACK does not abort the window. A window
+// whose exchange fails is re-run under the client's retry policy: storing is
+// idempotent, because a duplicate store replaces the same line.
+//
+// acked is called exactly once per line, in order, after its window: with
+// nil when the server accepted the line, or with the refusal or the
+// transport failure that outlasted the retries.
+func (c *Client) StoreMany(lines []int32, entries [][]memtable.Entry, acked func(i int, err error)) {
+	for off := 0; off < len(lines); off += window {
+		win := lines[off:min(len(lines), off+window)]
+		// Encode the window into one buffer; payloads[i] holds only its end
+		// offset until the buffer stops growing, and is then sliced from it.
+		buf := getEncBuf()
+		*buf = (*buf)[:0]
+		payloads := make([][]byte, len(win))
+		for i := range win {
+			*buf = memtable.AppendEntries(*buf, entries[off+i])
+			payloads[i] = (*buf)[:len(*buf)]
+		}
+		from := 0
+		for i, p := range payloads {
+			payloads[i] = (*buf)[from:len(p)]
+			from = len(p)
+		}
+		errs := make([]error, len(win))
+		err := c.callIdempotent(OpStoreAck, func() error {
+			return c.exchangeLocked(OpStoreAck, win, payloads, func(i int, op Op, payload []byte) {
+				errs[i] = c.storeReplyLocked(win[i], op, payload)
+			})
+		})
+		putEncBuf(buf)
+		for i := range win {
+			if err != nil {
+				errs[i] = err
+			}
+			acked(off+i, errs[i])
+		}
 	}
+}
+
+// storeReplyLocked reads one StoreAck reply: nil on acceptance, whose OK
+// payload may carry a soft-watermark pressure byte (old servers reply with
+// an empty payload, read as no pressure), or the server's refusal.
+func (c *Client) storeReplyLocked(line int32, op Op, payload []byte) error {
 	if op == OpErr {
 		if strings.HasPrefix(string(payload), nackCapacityPrefix) {
 			return fmt.Errorf("rmtp: store line %d refused (%s): %w", line, payload, ErrCapacity)
 		}
 		return fmt.Errorf("rmtp: store line %d: %s", line, payload)
 	}
-	// The OK reply may carry a soft-watermark pressure byte (old servers
-	// reply with an empty payload — treated as no pressure).
-	c.mu.Lock()
 	pressured := len(payload) >= 1 && payload[0] == 1
 	if pressured && !c.pressured {
 		c.m.PressureSignals++
 	}
 	c.pressured = pressured
-	c.mu.Unlock()
 	return nil
 }
 
@@ -519,8 +574,9 @@ func (c *Client) Reset() (int, error) {
 	return int(purged), nil
 }
 
-// fetchWindow is how many lines FetchMany leases in one pipelined exchange.
-const fetchWindow = 64
+// window is how many lines StoreMany ships, and FetchMany leases, in one
+// pipelined exchange.
+const window = 64
 
 // Fetch retrieves one stored line: FetchMany of that line.
 func (c *Client) Fetch(line int32) (entries []memtable.Entry, err error) {
@@ -529,7 +585,7 @@ func (c *Client) Fetch(line int32) (entries []memtable.Entry, err error) {
 }
 
 // FetchMany retrieves stored lines with lease-then-delete semantics, in
-// pipelined windows of up to fetchWindow lines. For each window it writes the
+// pipelined windows of up to window lines. For each window it writes the
 // OpFetchHold frames back to back and reads the replies in order; the server
 // keeps every line it served (leased) until the client acknowledges receipt,
 // so a reply lost to a dead connection is NOT a lost line — the window is
@@ -545,7 +601,7 @@ func (c *Client) Fetch(line int32) (entries []memtable.Entry, err error) {
 // malformed reply, or the transport failure that outlasted the retries.
 func (c *Client) FetchMany(lines []int32, got func(line int32, entries []memtable.Entry, err error)) {
 	for len(lines) > 0 {
-		win := lines[:min(len(lines), fetchWindow)]
+		win := lines[:min(len(lines), window)]
 		lines = lines[len(win):]
 		entries := make([][]memtable.Entry, len(win))
 		errs := make([]error, len(win))

@@ -19,8 +19,9 @@
 // carrying the client's owner id; lines are namespaced per owner, as in the
 // simulated store.
 //
-// Every write is acked or coalesced: a store is OpStoreAck (request/reply),
-// and count updates travel only in OpUpdateBatch frames, the one one-way op.
+// Every write is acked or coalesced: a store is OpStoreAck (request/reply,
+// pipelined in windows), and count updates travel only in OpUpdateBatch
+// frames, the one one-way op.
 // Ops 2, 3 and 4 (the retired one-way store, destructive fetch and lone
 // update) are unknown ops: a frame carrying one drops its connection.
 //
@@ -38,8 +39,12 @@
 //     read buffer holds no further request: a lone request gets its reply
 //     at once, in one write, and a pipelined window gets one write.
 //   - Client: one connection with reconnect-and-retry for idempotent ops;
-//     StoreAck/FetchMany/UpdateBatch/Migrate/Reset/Stat mirror the wire ops.
-//     FetchMany uses lease-then-delete (OpFetchHold + OpRelease) in
+//     StoreMany/FetchMany/UpdateBatch/Migrate/Reset/Stat mirror the wire ops.
+//     StoreMany ships lines in pipelined windows of 64 OpStoreAck frames,
+//     encoded into one pooled buffer and written in one write, with the
+//     acks read in order; a capacity NACK refuses only its own line, and a
+//     failed window is re-sent whole (a re-store replaces the same line).
+//     StoreAck is StoreMany of one line. FetchMany uses lease-then-delete (OpFetchHold + OpRelease) in
 //     pipelined windows of 64 lines: the holds go out back to back, the
 //     replies are read in order, and only then are the decoded lines
 //     released, the same way. The server keeps a served line until the

@@ -67,7 +67,7 @@ func TestFetchManyAbsentLineMidWindow(t *testing.T) {
 func TestFetchManySpansWindows(t *testing.T) {
 	s := startServer(t, 0)
 	c := dial(t, s, "app0")
-	n := 2*fetchWindow + 7
+	n := 2*window + 7
 	lines := make([]int32, n)
 	for i := range lines {
 		lines[i] = int32(i)

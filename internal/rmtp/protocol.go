@@ -77,6 +77,15 @@ func WriteFrame(w io.Writer, op Op, line int32, payload []byte) error {
 	return err
 }
 
+// appendFrame appends one frame — the 9-byte header and the payload — to
+// buf. The caller checks the payload against maxFrame.
+func appendFrame(buf []byte, op Op, line int32, payload []byte) []byte {
+	buf = append(buf, byte(op))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(line))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...)
+}
+
 // ReadFrame reads one frame, capping the payload at the protocol ceiling.
 func ReadFrame(r io.Reader) (op Op, line int32, payload []byte, err error) {
 	return ReadFrameMax(r, maxFrame)
