@@ -52,3 +52,7 @@ func BenchmarkTCPPagerEvictCollectLoopback(b *testing.B) { perf.BenchTCPPagerEvi
 // Per-pass durability tax of the supervised TCP fleet: one atomic
 // checkpoint save plus the respawn-side load.
 func BenchmarkCheckpointPass(b *testing.B) { perf.BenchCheckpointPass(b) }
+
+// One fleet node's unlimited pass-2 hash table: New with 400,000 lines,
+// build, then probe every candidate.
+func BenchmarkMemtableBuildProbe(b *testing.B) { perf.BenchMemtableBuildProbe(b) }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 		memEach   = flag.Duration("mem-interval", 250*time.Millisecond, "heap sampling interval (0 disables)")
 		dir       = flag.String("dir", ".", "directory for BENCH_*.json and BENCH_current.json")
 		out       = flag.String("out", "", "write the report only to this file (skips BENCH_current.json)")
-		run       = flag.String("run", "", "only run benchmarks whose name contains this substring")
+		run       = flag.String("run", "", "only run benchmarks whose name matches this regular expression")
 		compare   = flag.Bool("compare", false, "compare two reports: bench -compare old.json new.json")
 		threshold = flag.Float64("threshold", 1.25, "slowdown ratio that flags a regression in -compare")
 		warn      = flag.Bool("warn", false, "with -compare: report regressions but exit 0 (warn-only CI)")
@@ -61,7 +62,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: bench -compare old.json new.json")
 			os.Exit(2)
 		}
-		if err := runCompare(paths[0], paths[1], *run, *threshold, *warn); err != nil {
+		if err := runCompare(paths[0], paths[1], mustRunFilter(*run), *threshold, *warn); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
@@ -78,9 +79,10 @@ func main() {
 	}
 	benches := perf.Benchmarks()
 	if *run != "" {
+		re := mustRunFilter(*run)
 		var kept []perf.Benchmark
 		for _, bm := range benches {
-			if strings.Contains(bm.Name, *run) {
+			if re.MatchString(bm.Name) {
 				kept = append(kept, bm)
 			}
 		}
@@ -125,11 +127,25 @@ func main() {
 	fmt.Println(summaryTable(report))
 }
 
+// mustRunFilter compiles the -run expression (nil when empty), exiting on a
+// malformed one.
+func mustRunFilter(run string) *regexp.Regexp {
+	if run == "" {
+		return nil
+	}
+	re, err := regexp.Compile(run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: bad -run: %v\n", err)
+		os.Exit(2)
+	}
+	return re
+}
+
 // runCompare loads two reports, prints the delta table, and fails on
-// regressions unless warn-only. A -run substring narrows the comparison to
+// regressions unless warn-only. A -run expression narrows the comparison to
 // matching benchmarks, so CI can hold one kernel to a tighter threshold
 // than the rest of the suite.
-func runCompare(oldPath, newPath, run string, threshold float64, warn bool) error {
+func runCompare(oldPath, newPath string, run *regexp.Regexp, threshold float64, warn bool) error {
 	oldRep, err := perf.ReadFile(oldPath)
 	if err != nil {
 		return err
@@ -138,7 +154,7 @@ func runCompare(oldPath, newPath, run string, threshold float64, warn bool) erro
 	if err != nil {
 		return err
 	}
-	if run != "" {
+	if run != nil {
 		oldRep = filterReport(oldRep, run)
 		newRep = filterReport(newRep, run)
 		if len(oldRep.Benchmarks) == 0 || len(newRep.Benchmarks) == 0 {
@@ -164,12 +180,12 @@ func runCompare(oldPath, newPath, run string, threshold float64, warn bool) erro
 }
 
 // filterReport returns a shallow copy of r keeping only benchmarks whose
-// name contains run.
-func filterReport(r *perf.Report, run string) *perf.Report {
+// name matches run.
+func filterReport(r *perf.Report, run *regexp.Regexp) *perf.Report {
 	cp := *r
 	cp.Benchmarks = nil
 	for _, b := range r.Benchmarks {
-		if strings.Contains(b.Name, run) {
+		if run.MatchString(b.Name) {
 			cp.Benchmarks = append(cp.Benchmarks, b)
 		}
 	}

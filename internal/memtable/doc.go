@@ -18,7 +18,13 @@
 //   - Table: the hash table. Insert adds candidates during candidate
 //     generation; Probe increments a candidate's count during the counting
 //     phase, transparently triggering eviction, pagefault, or remote-update
-//     traffic as the configured Policy dictates.
+//     traffic as the configured Policy dictates. Its line directory is
+//     sparse: New allocates 4 B per line, and a line's header (its
+//     candtab.Line, location and residency links) is made in a chunked slab
+//     on first use. A line with no header reads as resident and empty. The
+//     residency order that picks eviction victims is kept only under a
+//     limit; with none, nothing is evicted, and a probe of a line that holds
+//     no candidate is a plain miss that allocates nothing.
 //   - Config: capacity limit, eviction policy, swap policy (SimpleSwap
 //     faults absent lines back on access, §4.3; RemoteUpdate pins them
 //     remotely and sends one-way increments, §4.4), plus the optional

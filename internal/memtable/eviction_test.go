@@ -167,10 +167,15 @@ func TestResidentIndexConsistency(t *testing.T) {
 			if err := tab.Probe(p, li, key(li)); err != nil {
 				t.Fatal(err)
 			}
-			// Invariant: residentIdx content == lines with state resident.
+			// Invariant: residentIdx content == lines whose header is
+			// resident. Every line was inserted, so every line has one.
 			resident := map[int32]bool{}
-			for i := range tab.lines {
-				if tab.lines[i].state == stateResident {
+			for i := range tab.dir {
+				l := tab.find(int32(i))
+				if l == nil {
+					t.Fatalf("step %d: inserted line %d has no header", step, i)
+				}
+				if l.state == stateResident {
 					resident[int32(i)] = true
 				}
 			}
@@ -182,9 +187,9 @@ func TestResidentIndexConsistency(t *testing.T) {
 				if !resident[li] {
 					t.Fatalf("step %d: residentIdx holds non-resident line %d", step, li)
 				}
-				if tab.lines[li].pos != int32(pos) {
+				if got := tab.find(li).pos; got != int32(pos) {
 					t.Fatalf("step %d: line %d pos %d, want %d",
-						step, li, tab.lines[li].pos, pos)
+						step, li, got, pos)
 				}
 			}
 		}

@@ -155,8 +155,10 @@ const (
 	stateOut
 )
 
+// line is the header of one touched hash line. Headers live in the Table's
+// slab and are made on a line's first use; a line that was never touched
+// has none and behaves as a resident, empty line.
 type line struct {
-	state lineState
 	// Resident entries live in a flat candidate table (candtab.Line): arena
 	// keys + SoA counts + open-addressing index, embedded by value (the zero
 	// value is an empty, ready-to-use line). The []Entry form exists only at
@@ -166,26 +168,38 @@ type line struct {
 	flat  candtab.Line
 	loc   Location
 	bytes int64 // accounted bytes (valid in both states)
-	// Residency-order intrusive list (LRU/FIFO victim selection).
+	// Residency-order intrusive list of line ids (LRU/FIFO victim
+	// selection), kept only when the table has a limit.
 	prev, next int32
-	inLRU      bool
-	// Position in the resident slice (Random victim selection), -1 if out.
-	pos int32
+	// Position in residentIdx (Random victim selection); -1 when the line is
+	// not in the residency order.
+	pos   int32
+	state lineState
 }
+
+// slabChunk is the number of line headers allocated together. Chunks never
+// move, so a header pointer stays valid while the slab grows.
+const slabChunk = 1024
 
 // Table is a node-local candidate hash table. It is used by a single
 // simulation process at a time (as in the paper, one receiving process owns
 // the table).
 type Table struct {
-	cfg   Config
-	lines []line
+	cfg Config
+	// dir maps a line id to 1 + its header's slot in slab; 0 means the line
+	// was never touched and has no header.
+	dir   []int32
+	slab  [][]line
+	slots int32
 	pager Pager
 
 	resident int64
 	stats    Stats
+	outLines int // lines currently swapped out
 
-	// Residency-order doubly linked list; head = most recent (LRU) or most
-	// recently admitted (FIFO). tail is the victim for both.
+	// Residency-order doubly linked list, kept only under a limit; head =
+	// most recent (LRU) or most recently admitted (FIFO). tail is the victim
+	// for both.
 	head, tail int32
 	// residentIdx lists resident line ids for O(1) Random victim selection.
 	residentIdx []int32
@@ -204,19 +218,43 @@ func New(cfg Config, pager Pager) (*Table, error) {
 		cfg.EntryBytes = EntryMemBytes
 	}
 	t := &Table{
-		cfg: cfg, lines: make([]line, cfg.Lines), pager: pager,
+		cfg: cfg, dir: make([]int32, cfg.Lines), pager: pager,
 		head: -1, tail: -1,
-		rng: rand.New(rand.NewSource(cfg.RandSeed + 1)),
 	}
-	for i := range t.lines {
-		t.lines[i].prev, t.lines[i].next = -1, -1
-		t.lines[i].pos = -1
+	if cfg.Eviction == Random {
+		t.rng = rand.New(rand.NewSource(cfg.RandSeed + 1))
 	}
 	return t, nil
 }
 
 // Lines returns the number of hash lines.
-func (t *Table) Lines() int { return len(t.lines) }
+func (t *Table) Lines() int { return len(t.dir) }
+
+// find returns line i's header, or nil if the line was never touched.
+func (t *Table) find(i int32) *line {
+	s := t.dir[i] - 1
+	if s < 0 {
+		return nil
+	}
+	return &t.slab[s/slabChunk][s%slabChunk]
+}
+
+// header returns line i's header, making it on the line's first use.
+func (t *Table) header(i int32) *line {
+	if l := t.find(i); l != nil {
+		return l
+	}
+	s := t.slots
+	if s%slabChunk == 0 {
+		// A table smaller than one chunk only ever needs one short chunk.
+		t.slab = append(t.slab, make([]line, min(slabChunk, len(t.dir))))
+	}
+	t.slots++
+	t.dir[i] = s + 1
+	l := &t.slab[s/slabChunk][s%slabChunk]
+	l.prev, l.next, l.pos = -1, -1, -1
+	return l
+}
 
 // ResidentBytes returns current resident accounting.
 func (t *Table) ResidentBytes() int64 { return t.resident }
@@ -224,65 +262,58 @@ func (t *Table) ResidentBytes() int64 { return t.resident }
 // Stats returns a snapshot of the counters.
 func (t *Table) Stats() Stats {
 	s := t.stats
-	s.OutLines = 0
-	for i := range t.lines {
-		if t.lines[i].state == stateOut {
-			s.OutLines++
-		}
-	}
+	s.OutLines = t.outLines
 	return s
 }
 
 // --- LRU helpers ---
 
 func (t *Table) lruRemove(i int32) {
-	l := &t.lines[i]
-	if !l.inLRU {
+	l := t.find(i)
+	p := l.pos
+	if p < 0 {
 		return
 	}
 	// Slice bookkeeping for Random victim selection (swap-remove).
-	if p := l.pos; p >= 0 {
-		last := t.residentIdx[len(t.residentIdx)-1]
-		t.residentIdx[p] = last
-		t.lines[last].pos = p
-		t.residentIdx = t.residentIdx[:len(t.residentIdx)-1]
-		l.pos = -1
-	}
+	last := t.residentIdx[len(t.residentIdx)-1]
+	t.residentIdx[p] = last
+	t.find(last).pos = p
+	t.residentIdx = t.residentIdx[:len(t.residentIdx)-1]
 	if l.prev >= 0 {
-		t.lines[l.prev].next = l.next
+		t.find(l.prev).next = l.next
 	} else {
 		t.head = l.next
 	}
 	if l.next >= 0 {
-		t.lines[l.next].prev = l.prev
+		t.find(l.next).prev = l.prev
 	} else {
 		t.tail = l.prev
 	}
-	l.prev, l.next, l.inLRU = -1, -1, false
+	l.prev, l.next, l.pos = -1, -1, -1
 }
 
+// lruPushFront admits line i, which is not in the residency order, at its
+// head.
 func (t *Table) lruPushFront(i int32) {
-	l := &t.lines[i]
-	if l.pos < 0 {
-		l.pos = int32(len(t.residentIdx))
-		t.residentIdx = append(t.residentIdx, i)
-	}
+	l := t.find(i)
+	l.pos = int32(len(t.residentIdx))
+	t.residentIdx = append(t.residentIdx, i)
 	l.prev, l.next = -1, t.head
 	if t.head >= 0 {
-		t.lines[t.head].prev = i
+		t.find(t.head).prev = i
 	}
 	t.head = i
 	if t.tail < 0 {
 		t.tail = i
 	}
-	l.inLRU = true
 }
 
-// touch records a use of line i: admission to the residency structures is
-// unconditional, but only LRU reorders on reuse (FIFO and Random ignore
-// recency).
-func (t *Table) touch(i int32) {
-	if !t.lines[i].inLRU {
+// touch records a use of line i, whose header is l: admission to the
+// residency structures is unconditional, but only LRU reorders on reuse (FIFO
+// and Random ignore recency). Callers skip it on a table with no limit, which
+// never evicts and so keeps no residency order.
+func (t *Table) touch(i int32, l *line) {
+	if l.pos < 0 {
 		t.lruPushFront(i)
 		return
 	}
@@ -315,7 +346,7 @@ func (t *Table) victim(protect int32) int32 {
 			return -1
 		}
 		if v == protect {
-			return t.lines[v].prev // may be -1
+			return t.find(v).prev // may be -1
 		}
 		return v
 	}
@@ -348,7 +379,7 @@ func (t *Table) evictUntil(p transport.Proc, incoming int64, protect int32) erro
 }
 
 func (t *Table) evict(p transport.Proc, i int32) error {
-	l := &t.lines[i]
+	l := t.find(i)
 	if l.state != stateResident {
 		return fmt.Errorf("memtable: evicting non-resident line %d", i)
 	}
@@ -362,6 +393,7 @@ func (t *Table) evict(p transport.Proc, i int32) error {
 	l.loc = loc
 	l.flat = candtab.Line{}
 	t.resident -= l.bytes
+	t.outLines++
 	t.stats.Evictions++
 	if t.cfg.Rec.Wants(trace.KEviction) {
 		t.cfg.Rec.Emit(trace.Event{
@@ -372,9 +404,9 @@ func (t *Table) evict(p transport.Proc, i int32) error {
 	return nil
 }
 
-// fault brings line i resident (making room first).
-func (t *Table) fault(p transport.Proc, i int32) error {
-	l := &t.lines[i]
+// fault brings swapped-out line i, whose header is l, resident (making room
+// first).
+func (t *Table) fault(p transport.Proc, i int32, l *line) error {
 	start := p.Now()
 	src := l.loc.Node
 	if err := t.evictUntil(p, l.bytes, i); err != nil {
@@ -388,6 +420,7 @@ func (t *Table) fault(p transport.Proc, i int32) error {
 	l.flat = flatFromEntries(entries)
 	l.bytes = int64(len(entries)) * t.cfg.EntryBytes
 	t.resident += l.bytes
+	t.outLines--
 	t.lruPushFront(i)
 	t.stats.Pagefaults++
 	t.stats.FaultedTime += p.Now().Sub(start)
@@ -411,13 +444,13 @@ func (t *Table) notePeak() {
 // build phase. Swapped-out lines are faulted back in regardless of policy
 // (pinning applies only to the counting phase).
 func (t *Table) Insert(p transport.Proc, lineID int, key string) error {
-	if lineID < 0 || lineID >= len(t.lines) {
+	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
 	}
 	i := int32(lineID)
-	l := &t.lines[i]
+	l := t.header(i)
 	if l.state == stateOut {
-		if err := t.fault(p, i); err != nil {
+		if err := t.fault(p, i, l); err != nil {
 			return err
 		}
 	}
@@ -426,22 +459,34 @@ func (t *Table) Insert(p transport.Proc, lineID int, key string) error {
 	l.bytes += t.cfg.EntryBytes
 	t.resident += t.cfg.EntryBytes
 	t.stats.Inserts++
-	t.touch(i)
 	t.notePeak()
+	if t.cfg.LimitBytes == 0 {
+		return nil
+	}
+	t.touch(i, l)
 	return t.evictUntil(p, 0, i)
 }
 
 // Probe looks up key in the given line during the counting phase and
 // increments its count if present. Behaviour for swapped-out lines follows
 // the configured policy: SimpleSwap faults the line in; RemoteUpdate sends a
-// one-way update to the line's location.
+// one-way update to the line's location. On a table with no limit, a probe of
+// a line that holds no candidate is a plain miss. Under a limit it admits the
+// line to the residency order like any other use.
 func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
-	if lineID < 0 || lineID >= len(t.lines) {
+	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
 	}
 	i := int32(lineID)
-	l := &t.lines[i]
 	t.stats.Probes++
+	if t.cfg.LimitBytes == 0 {
+		p.Work(t.cfg.ProbeCost)
+		if l := t.find(i); l != nil && l.flat.Add(key, 1) {
+			t.stats.Hits++
+		}
+		return nil
+	}
+	l := t.header(i)
 	if l.state == stateOut {
 		if t.cfg.Policy == RemoteUpdate {
 			p.Work(t.cfg.ProbeCost)
@@ -458,7 +503,7 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 			}
 			return t.pager.Update(p, lineID, l.loc, key)
 		}
-		if err := t.fault(p, i); err != nil {
+		if err := t.fault(p, i, l); err != nil {
 			return err
 		}
 	}
@@ -466,7 +511,7 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 	if l.flat.Add(key, 1) {
 		t.stats.Hits++
 	}
-	t.touch(i)
+	t.touch(i, l)
 	return nil
 }
 
@@ -478,22 +523,23 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 // counting phase; resident accounting may transiently exceed the limit since
 // no further evictions are useful.
 func (t *Table) Collect(p transport.Proc, minCount int) ([]Entry, error) {
-	if bf, ok := t.pager.(BulkFetcher); ok {
-		var swapped []Swapped
-		for i := range t.lines {
-			if t.lines[i].state == stateOut {
-				swapped = append(swapped, Swapped{Line: i, Loc: t.lines[i].loc})
+	if bf, ok := t.pager.(BulkFetcher); ok && t.outLines > 0 {
+		swapped := make([]Swapped, 0, t.outLines)
+		for i := range t.dir {
+			if l := t.find(int32(i)); l != nil && l.state == stateOut {
+				swapped = append(swapped, Swapped{Line: i, Loc: l.loc})
 			}
 		}
-		if len(swapped) > 0 {
-			if err := bf.FetchAll(p, swapped, t.admit); err != nil {
-				return nil, fmt.Errorf("memtable: collect: %w", err)
-			}
+		if err := bf.FetchAll(p, swapped, t.admit); err != nil {
+			return nil, fmt.Errorf("memtable: collect: %w", err)
 		}
 	}
 	var out []Entry
-	for i := range t.lines {
-		l := &t.lines[i]
+	for i := range t.dir {
+		l := t.find(int32(i))
+		if l == nil {
+			continue
+		}
 		if l.state == stateOut {
 			entries, err := t.pager.FetchIn(p, i, l.loc)
 			if err != nil {
@@ -512,14 +558,15 @@ func (t *Table) Collect(p transport.Proc, minCount int) ([]Entry, error) {
 
 // admit makes a line Collect fetched resident, counting it as a pagefault.
 func (t *Table) admit(i int, entries []Entry) {
-	l := &t.lines[i]
-	if l.state != stateOut {
+	l := t.find(int32(i))
+	if l == nil || l.state != stateOut {
 		return
 	}
 	l.state = stateResident
 	l.flat = flatFromEntries(entries)
 	l.bytes = int64(len(entries)) * t.cfg.EntryBytes
 	t.resident += l.bytes
+	t.outLines--
 	t.lruPushFront(int32(i))
 	t.stats.Pagefaults++
 }
@@ -560,11 +607,11 @@ func wireKeyBytes(entries []Entry) int {
 // Relocate updates the recorded location of a swapped-out line (used after
 // migration moves stored lines between memory-available nodes).
 func (t *Table) Relocate(lineID int, loc Location) error {
-	if lineID < 0 || lineID >= len(t.lines) {
+	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
 	}
-	l := &t.lines[lineID]
-	if l.state != stateOut {
+	l := t.find(int32(lineID))
+	if l == nil || l.state != stateOut {
 		return fmt.Errorf("memtable: relocating resident line %d", lineID)
 	}
 	l.loc = loc
@@ -573,19 +620,25 @@ func (t *Table) Relocate(lineID int, loc Location) error {
 
 // OutLines returns the ids and locations of all currently swapped-out lines.
 func (t *Table) OutLines() map[int]Location {
-	out := make(map[int]Location)
-	for i := range t.lines {
-		if t.lines[i].state == stateOut {
-			out[i] = t.lines[i].loc
+	out := make(map[int]Location, t.outLines)
+	for i := range t.dir {
+		if l := t.find(int32(i)); l != nil && l.state == stateOut {
+			out[i] = l.loc
 		}
 	}
 	return out
 }
 
 // LineBytes returns the accounted size of one line.
-func (t *Table) LineBytes(lineID int) int64 { return t.lines[lineID].bytes }
+func (t *Table) LineBytes(lineID int) int64 {
+	if l := t.find(int32(lineID)); l != nil {
+		return l.bytes
+	}
+	return 0
+}
 
 // IsResident reports whether the line is currently in local memory.
 func (t *Table) IsResident(lineID int) bool {
-	return t.lines[lineID].state == stateResident
+	l := t.find(int32(lineID))
+	return l == nil || l.state == stateResident
 }

@@ -473,5 +473,6 @@ func Benchmarks() []Benchmark {
 		{"Pass2CountFlatUniform", "§3 pass-2 kernel", BenchPass2CountFlatUniform},
 		{"Pass2CountHTreeUniform", "§3 pass-2 kernel", BenchPass2CountHTreeUniform},
 		{"RMTPUpdateBatchLoopback", "§4.4 one-way updates", BenchRMTPUpdateBatchLoopback},
+		{"MemtableBuildProbe", "§5.1 hash table", BenchMemtableBuildProbe},
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apriori"
 	"repro/internal/candtab"
+	"repro/internal/hpa"
 	"repro/internal/htree"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
 	"repro/internal/quest"
 	"repro/internal/rmtp"
+	"repro/internal/transport"
 )
 
 // pass2Data is one pass-2 counting problem: a transaction set, the candidate
@@ -49,6 +52,19 @@ func pass2Setup() {
 // derivePass2 runs pass 1 and builds C2 = all pairs of frequent items,
 // exactly as the miner's candidate generation would.
 func derivePass2(txns []itemset.Itemset, minCount int) pass2Data {
+	freq := frequentItems(txns, minCount)
+	var cands []itemset.Itemset
+	for i := 0; i < len(freq); i++ {
+		for j := i + 1; j < len(freq); j++ {
+			cands = append(cands, itemset.New(freq[i], freq[j]))
+		}
+	}
+	return pass2Data{txns: txns, cands: cands, minCount: minCount}
+}
+
+// frequentItems is pass 1: the items of at least minCount transactions, in
+// ascending order.
+func frequentItems(txns []itemset.Itemset, minCount int) []itemset.Item {
 	counts := make(map[itemset.Item]int)
 	for _, t := range txns {
 		for _, it := range t {
@@ -62,13 +78,7 @@ func derivePass2(txns []itemset.Itemset, minCount int) pass2Data {
 		}
 	}
 	sort.Slice(freq, func(i, j int) bool { return freq[i] < freq[j] })
-	var cands []itemset.Itemset
-	for i := 0; i < len(freq); i++ {
-		for j := i + 1; j < len(freq); j++ {
-			cands = append(cands, itemset.New(freq[i], freq[j]))
-		}
-	}
-	return pass2Data{txns: txns, cands: cands, minCount: minCount}
+	return freq
 }
 
 // uniformTxns synthesizes transactions of distinct uniformly-drawn items
@@ -139,6 +149,79 @@ func BenchPass2CountFlatUniform(b *testing.B) { pass2Setup(); benchPass2(b, &pas
 
 // BenchPass2CountHTreeUniform is the hash tree under uniform probes.
 func BenchPass2CountHTreeUniform(b *testing.B) { pass2Setup(); benchPass2(b, &pass2Uniform, false) }
+
+// memtableCand is one pass-2 candidate as the owning node's table sees it.
+type memtableCand struct {
+	line int
+	key  string
+}
+
+var (
+	memtableOnce  sync.Once
+	memtableCands []memtableCand
+)
+
+// memtableLines is one node's share of the paper's 800,000 hash lines on a
+// two-node fleet.
+const memtableLines = 400_000
+
+// memtableSetup derives node 0's pass-2 candidates on the fleet-swap
+// problem: the paper's Quest workload at 1,000 transactions (seed 1), minsup
+// 1%, C2 = all pairs of frequent items, placed on 800,000 global lines by
+// the FNV pair hash and kept where line mod 2 = 0, exactly as HPA's
+// candidate generation partitions them across two nodes.
+func memtableSetup() {
+	memtableOnce.Do(func() {
+		p := quest.PaperParams(0.001)
+		p.Seed = 1
+		txns := quest.Generate(p)
+		items := frequentItems(txns, apriori.MinCount(0.01, len(txns)))
+		for i, a := range items {
+			for _, b := range items[i+1:] {
+				line := hpa.HashFNV.HashPairOf(a, b) % (2 * memtableLines)
+				if line%2 == 0 {
+					memtableCands = append(memtableCands, memtableCand{
+						line: int(line / 2), key: itemset.New(a, b).Key(),
+					})
+				}
+			}
+		}
+	})
+}
+
+// BenchMemtableBuildProbe is one unlimited pass-2 table on a fleet node per
+// iteration: memtable.New with 400,000 lines, one Insert per candidate, then
+// one Probe per candidate. It tracks what the line directory costs against
+// the candidates it holds (B/op) and the probe path's cache behaviour.
+func BenchMemtableBuildProbe(b *testing.B) {
+	memtableSetup()
+	costs := hpa.DefaultCPUCosts()
+	p := transport.NewRealProc()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab, err := memtable.New(memtable.Config{
+			Lines: memtableLines, ProbeCost: costs.Probe, InsertCost: costs.Insert,
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range memtableCands {
+			if err := tab.Insert(p, c.line, c.key); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, c := range memtableCands {
+			if err := tab.Probe(p, c.line, c.key); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if hits := tab.Stats().Hits; hits != uint64(len(memtableCands)) {
+			b.Fatalf("hits = %d, want %d", hits, len(memtableCands))
+		}
+	}
+	b.ReportMetric(float64(len(memtableCands)), "C2")
+}
 
 // BenchRMTPUpdateBatchLoopback fires one 64-item OpUpdateBatch frame per
 // iteration at a real loopback server, then drains the connection with a
