@@ -132,17 +132,24 @@ func (l *Line) MemBytes() int64 {
 		4*int64(cap(l.slots)) + int64(cap(l.fps))
 }
 
-// Insert appends a candidate with count 0. Duplicate keys are appended as
-// separate entries (preserving the legacy per-line list semantics) but only
-// the first occurrence is indexed, so probes always increment the first.
-func (l *Line) Insert(key string) { l.insert(key, 0) }
+// Insert appends a candidate with count 0, copying key into the arena.
+// Duplicate keys are appended as separate entries (preserving the legacy
+// per-line list semantics) but only the first occurrence is indexed, so
+// probes always increment the first.
+func (l *Line) Insert(key []byte) {
+	l.arena = append(l.arena, key...)
+	l.endEntry(0)
+}
 
 // InsertCount appends a candidate with an explicit count (rebuilding a line
 // from pager entries).
-func (l *Line) InsertCount(key string, count int32) { l.insert(key, count) }
-
-func (l *Line) insert(key string, count int32) {
+func (l *Line) InsertCount(key string, count int32) {
 	l.arena = append(l.arena, key...)
+	l.endEntry(count)
+}
+
+// endEntry closes the entry whose key was just appended to the arena.
+func (l *Line) endEntry(count int32) {
 	l.ends = append(l.ends, uint32(len(l.arena)))
 	l.counts = append(l.counts, count)
 }
@@ -198,54 +205,17 @@ func (l *Line) rehash() {
 }
 
 func (l *Line) keyEq(id int32, key []byte) bool {
-	s, e := l.keyStart(id), l.ends[id]
-	if int(e-s) != len(key) {
-		return false
-	}
-	k := l.arena[s:e]
-	for i := range k {
-		if k[i] != key[i] {
-			return false
-		}
-	}
-	return true
+	return string(l.arena[l.keyStart(id):l.ends[id]]) == string(key) // no allocation
 }
 
 func (l *Line) keyEqString(id int32, key string) bool {
-	s, e := l.keyStart(id), l.ends[id]
-	if int(e-s) != len(key) {
-		return false
-	}
-	return string(l.arena[s:e]) == key // compiler-optimized, no allocation
+	return string(l.arena[l.keyStart(id):l.ends[id]]) == key // no allocation
 }
 
-// Add increments the first entry with the given key by delta and reports
-// whether it was found. The hot probe of the counting phase.
-func (l *Line) Add(key string, delta int32) bool {
-	if l.indexed != int32(len(l.counts)) {
-		l.sync()
-	}
-	if len(l.slots) == 0 {
-		return false
-	}
-	h := hashString(key)
-	fp := byte(h >> 56)
-	i := uint32(h) & l.mask
-	for {
-		id := l.slots[i]
-		if id < 0 {
-			return false
-		}
-		if l.fps[i] == fp && l.keyEqString(id, key) {
-			l.counts[id] += delta
-			return true
-		}
-		i = (i + 1) & l.mask
-	}
-}
-
-// AddBytes is Add for a []byte key (subset enumeration writes keys into a
-// scratch buffer; neither the probe nor a hit allocates).
+// AddBytes increments the first entry with the given key by delta and
+// reports whether it was found. The hot probe of the counting phase: keys
+// arrive in scratch buffers or packed blocks, and neither the probe nor a
+// hit allocates.
 func (l *Line) AddBytes(key []byte, delta int32) bool {
 	if l.indexed != int32(len(l.counts)) {
 		l.sync()

@@ -15,16 +15,16 @@ func TestLineBasics(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("empty line Len = %d", l.Len())
 	}
-	if ok := l.Add("missing", 1); ok {
+	if ok := l.AddBytes([]byte("missing"), 1); ok {
 		t.Fatal("Add on empty line reported found")
 	}
-	l.Insert("alpha")
-	l.Insert("beta")
+	l.Insert([]byte("alpha"))
+	l.Insert([]byte("beta"))
 	l.InsertCount("gamma", 7)
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", l.Len())
 	}
-	if !l.Add("beta", 2) || !l.Add("beta", 1) {
+	if !l.AddBytes([]byte("beta"), 2) || !l.AddBytes([]byte("beta"), 1) {
 		t.Fatal("Add(beta) not found")
 	}
 	if c, ok := l.Get("beta"); !ok || c != 3 {
@@ -56,7 +56,7 @@ func TestLineDuplicateFirstWins(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (duplicates kept as entries)", l.Len())
 	}
-	if !l.Add("dup", 5) {
+	if !l.AddBytes([]byte("dup"), 5) {
 		t.Fatal("Add(dup) not found")
 	}
 	// Only the first occurrence is indexed and incremented.
@@ -111,14 +111,14 @@ func TestLineInterleavedInsertProbe(t *testing.T) {
 	const rounds, perRound = 8, 37
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < perRound; i++ {
-			l.Insert(fmt.Sprintf("k-%d-%d", r, i))
+			l.Insert([]byte(fmt.Sprintf("k-%d-%d", r, i)))
 		}
 		// A duplicate of a key indexed in an earlier round.
 		if r > 0 {
-			l.Insert("k-0-0")
+			l.Insert([]byte("k-0-0"))
 		}
 		for rr := 0; rr <= r; rr++ {
-			if !l.Add(fmt.Sprintf("k-%d-%d", rr, perRound-1), 1) {
+			if !l.AddBytes([]byte(fmt.Sprintf("k-%d-%d", rr, perRound-1)), 1) {
 				t.Fatalf("round %d: key from round %d not found", r, rr)
 			}
 		}
@@ -126,7 +126,7 @@ func TestLineInterleavedInsertProbe(t *testing.T) {
 	// k-0-0 was re-inserted rounds-1 times after being indexed; the first
 	// occurrence (entry 0) must own the index slot and all later copies
 	// must still be dead entries with count 0.
-	if !l.Add("k-0-0", 10) || l.Count(0) != 10 {
+	if !l.AddBytes([]byte("k-0-0"), 10) || l.Count(0) != 10 {
 		t.Fatalf("first occurrence not incremented: count(0) = %d", l.Count(0))
 	}
 	for id := 1; id < l.Len(); id++ {
@@ -142,15 +142,15 @@ func TestLineInterleavedInsertProbe(t *testing.T) {
 
 func TestLineDuplicateSurvivesRehash(t *testing.T) {
 	l := NewLine(0)
-	l.Insert("dup")
+	l.Insert([]byte("dup"))
 	for i := 0; i < 500; i++ {
-		l.Insert(fmt.Sprintf("filler-%d", i))
+		l.Insert([]byte(fmt.Sprintf("filler-%d", i)))
 	}
-	l.Insert("dup")
+	l.Insert([]byte("dup"))
 	for i := 500; i < 1000; i++ {
-		l.Insert(fmt.Sprintf("filler-%d", i))
+		l.Insert([]byte(fmt.Sprintf("filler-%d", i)))
 	}
-	l.Add("dup", 3)
+	l.AddBytes([]byte("dup"), 3)
 	if l.Count(0) != 3 {
 		t.Fatalf("Count(first dup) = %d, want 3", l.Count(0))
 	}
@@ -266,14 +266,14 @@ func TestTableShortTransactionIgnored(t *testing.T) {
 
 func BenchmarkLineAdd(b *testing.B) {
 	l := NewLine(0)
-	keys := make([]string, 4096)
+	keys := make([][]byte, 4096)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
 		l.Insert(keys[i])
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Add(keys[i&4095], 1)
+		l.AddBytes(keys[i&4095], 1)
 	}
 }

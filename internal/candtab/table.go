@@ -27,14 +27,14 @@ func New(k int, candidates []itemset.Itemset) *Table {
 	t := &Table{
 		k:       k,
 		line:    NewLine(len(candidates)),
-		scratch: make([]byte, 4*k),
+		scratch: make([]byte, itemset.KeyLen(k)),
 		idx:     make([]int, k),
 	}
 	for _, c := range candidates {
 		if len(c) != k {
 			panic("candtab: candidate size mismatch")
 		}
-		t.line.Insert(c.Key())
+		t.line.Insert(itemset.AppendKey(t.scratch[:0], c))
 	}
 	return t
 }

@@ -7,6 +7,17 @@
 // local transaction file and a receiver owning the hash table — exactly as
 // the pilot-system implementation did (§3.3).
 //
+// Itemset keys stay packed bytes from candidate generation to the probe
+// (DESIGN.md §10.5). A data block carries its probes as two flat slices: a
+// global hash line per probe and the probes' canonical keys back to back,
+// 4·k bytes each, written by itemset.AppendKey. The sender appends into the
+// destination's block and never touches a block once shipped, since the
+// simulated fabric delivers it by reference; the receiver refuses a block
+// whose key bytes do not match its line count or that names a line it does
+// not own. Modelled block sizes and CPU charges are those of one 12-byte
+// probe item each, so the simulator's event stream does not depend on how
+// keys are held.
+//
 // The receiver's hash table is a memtable.Table, so pass 2 — the pass that
 // dominates end-to-end time — runs under a memory-usage limit with
 // whichever pager (remote memory or disk) the environment supplies.

@@ -271,9 +271,17 @@ type Pending struct {
 
 // passCandidates is the precomputed candidate set of one pass.
 type passCandidates struct {
-	sets  []itemset.Itemset
-	keys  []string
-	lines []int32
+	sets []itemset.Itemset
+	// keys packs every candidate's canonical key back to back, stride
+	// (itemset.KeyLen(k)) bytes each, in sets order.
+	keys   []byte
+	stride int
+	lines  []int32
+}
+
+// key returns candidate i's canonical key, a view into the arena.
+func (pc *passCandidates) key(i int) []byte {
+	return pc.keys[i*pc.stride : (i+1)*pc.stride]
 }
 
 // candidatesFor returns (computing on first request per pass) the candidate
@@ -287,12 +295,13 @@ func (pd *Pending) candidatesFor(k int, prevLarge []itemset.Itemset, totalLines 
 	}
 	sets := itemset.AprioriGen(prevLarge)
 	pc := &passCandidates{
-		sets:  sets,
-		keys:  make([]string, len(sets)),
-		lines: make([]int32, len(sets)),
+		sets:   sets,
+		keys:   make([]byte, 0, itemset.KeyLen(k)*len(sets)),
+		stride: itemset.KeyLen(k),
+		lines:  make([]int32, len(sets)),
 	}
 	for i, c := range sets {
-		pc.keys[i] = c.Key()
+		pc.keys = itemset.AppendKey(pc.keys, c)
 		pc.lines[i] = int32(pd.candHash.HashItemset(c) % uint64(totalLines))
 	}
 	pd.candPass = k

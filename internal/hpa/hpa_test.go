@@ -54,8 +54,16 @@ func TestLineMappingBijective(t *testing.T) {
 	}
 }
 
-func TestPairKeyMatchesItemsetKey(t *testing.T) {
-	prop := func(x, y int32) bool {
+func TestAppendKeyMatchesItemsetKey(t *testing.T) {
+	// The sender appends keys into a block's buffer: a key appended after
+	// others must be exactly the itemset's Key bytes, and the pass-2 pair
+	// path (a two-item array) must agree with itemset.New.
+	prop := func(prefix []byte, items []int32, x, y int32) bool {
+		s := itemset.New(items...)
+		got := itemset.AppendKey(append([]byte(nil), prefix...), s)
+		if string(got) != string(prefix)+s.Key() {
+			return false
+		}
 		if x == y {
 			return true
 		}
@@ -63,7 +71,8 @@ func TestPairKeyMatchesItemsetKey(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return pairKey(a, b) == itemset.New(a, b).Key()
+		pair := [2]itemset.Item{a, b}
+		return string(itemset.AppendKey(nil, pair[:])) == itemset.New(a, b).Key()
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -97,11 +106,11 @@ func TestCandidateCacheSharedAcrossNodes(t *testing.T) {
 	if a != b {
 		t.Error("cache recomputed for same pass")
 	}
-	if len(a.sets) != 3 || len(a.keys) != 3 || len(a.lines) != 3 {
+	if len(a.sets) != 3 || len(a.keys) != 3*a.stride || a.stride != 8 || len(a.lines) != 3 {
 		t.Fatalf("candidates: %d sets", len(a.sets))
 	}
 	for i, s := range a.sets {
-		if a.keys[i] != s.Key() {
+		if string(a.key(i)) != s.Key() {
 			t.Errorf("key %d mismatch", i)
 		}
 		if a.lines[i] != int32(s.Hash()%100) {

@@ -29,20 +29,18 @@ func init() {
 
 // Wire formats for the counting phase.
 
-// probeItem routes one k-subset occurrence to the candidate's hash line.
-type probeItem struct {
-	Line int32
-	Key  string
-}
-
-// dataBlock is a batch of probe items shipped in one message block. Gen is
-// the sender's recovery generation: a receiver replaying a pass after a
-// peer loss drops blocks from the aborted attempt instead of double
-// counting them.
+// dataBlock is a batch of probes shipped in one message block: probe i
+// looks up the k-itemset whose canonical key (itemset.AppendKey, 4·k bytes)
+// is Keys[4k·i : 4k·(i+1)] in global hash line Lines[i]. Gen is the sender's
+// recovery generation: a receiver replaying a pass after a peer loss drops
+// blocks from the aborted attempt instead of double counting them. The
+// simulated fabric delivers a block by reference, so a sender never writes
+// to a block's slices once it has shipped it.
 type dataBlock struct {
 	From  int
 	Gen   int
-	Items []probeItem
+	Lines []int32
+	Keys  []byte
 }
 
 // dataDone marks the end of a sender's transaction scan.
@@ -502,7 +500,7 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 			continue
 		}
 		mine++
-		if err := table.Insert(p, a.localLine(line), pc.keys[i]); err != nil {
+		if err := table.Insert(p, a.localLine(line), pc.key(i)); err != nil {
 			return false, err
 		}
 	}
@@ -523,7 +521,7 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 	sender := a.env.Spawn.Go(a.id, fmt.Sprintf("sender-%d-p%d", a.id, k), func(sp transport.Proc) error {
 		return a.runSender(sp, k, txns)
 	})
-	recvErr := a.runReceiver(p, table)
+	recvErr := a.runReceiver(p, k, table)
 	if recvErr != nil {
 		a.abortSend.Store(true)
 	}
@@ -604,31 +602,40 @@ func (a *appNode) emitPassSpan(p transport.Proc, k int, start sim.Time) {
 
 // runSender scans the local transactions, enumerates k-subsets, batches them
 // per destination, and ships blocks; it ends by sending a done marker to
-// every application node.
+// every application node. Each subset's key is appended straight into its
+// destination's block, so the scan allocates per block, not per subset.
 func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) error {
 	costs := a.params.Costs
 	ep := a.env.Links[a.id]
 	n := a.env.Layout.AppNodes
 	gen := a.gen
-	batches := make([][]probeItem, n)
+	batch := a.params.BatchItems
+	blocks := make([]dataBlock, n)
 	var sendErr error
 	flush := func(dest int) {
-		if len(batches[dest]) == 0 || sendErr != nil {
+		blk := blocks[dest]
+		if len(blk.Lines) == 0 || sendErr != nil {
 			return
 		}
 		if k == 2 {
 			chaos.Hit(chaos.KPPass2Block)
 		}
-		items := batches[dest]
-		batches[dest] = nil
-		sendErr = ep.Send(p, dest, cluster.PortData,
-			dataBlock{From: a.id, Gen: gen, Items: items},
-			blockHeaderBytes+len(items)*probeItemWireBytes)
+		// The next block to dest gets fresh buffers: this one may be
+		// delivered by reference.
+		blocks[dest] = dataBlock{}
+		sendErr = ep.Send(p, dest, cluster.PortData, blk,
+			blockHeaderBytes+len(blk.Lines)*probeItemWireBytes)
 	}
-	emit := func(line int32, key string) {
+	emit := func(line int32, s itemset.Itemset) {
 		dest := a.ownerOf(line)
-		batches[dest] = append(batches[dest], probeItem{Line: line, Key: key})
-		if len(batches[dest]) >= a.params.BatchItems {
+		blk := &blocks[dest]
+		if blk.Lines == nil {
+			*blk = dataBlock{From: a.id, Gen: gen,
+				Lines: make([]int32, 0, batch), Keys: make([]byte, 0, batch*itemset.KeyLen(k))}
+		}
+		blk.Lines = append(blk.Lines, line)
+		blk.Keys = itemset.AppendKey(blk.Keys, s)
+		if len(blk.Lines) >= batch {
 			flush(dest)
 		}
 	}
@@ -642,14 +649,15 @@ func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) err
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
 					p.Work(costs.SubsetGen)
-					emit(a.lineOf(a.params.Hash.HashPairOf(t[i], t[j])), pairKey(t[i], t[j]))
+					pair := [2]itemset.Item{t[i], t[j]}
+					emit(a.lineOf(a.params.Hash.HashPairOf(t[i], t[j])), pair[:])
 				}
 			}
 			continue
 		}
 		itemset.Subsets(t, k, func(s itemset.Itemset) {
 			p.Work(costs.SubsetGen)
-			emit(a.lineOf(a.hashOf(s)), s.Key())
+			emit(a.lineOf(a.hashOf(s)), s)
 		})
 	}
 	if sendErr != nil {
@@ -670,27 +678,12 @@ func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) err
 	return sendErr
 }
 
-// pairKey builds the canonical key of the 2-itemset {a,b} (a < b) without
-// constructing an Itemset; it must equal itemset.New(a, b).Key().
-func pairKey(a, b itemset.Item) string {
-	var buf [8]byte
-	buf[0] = byte(a)
-	buf[1] = byte(a >> 8)
-	buf[2] = byte(a >> 16)
-	buf[3] = byte(a >> 24)
-	buf[4] = byte(b)
-	buf[5] = byte(b >> 8)
-	buf[6] = byte(b >> 16)
-	buf[7] = byte(b >> 24)
-	return string(buf[:])
-}
-
-// runReceiver drains data blocks, probing the table for each item, until
-// every sender's done marker has arrived. Blocks stamped with a different
-// recovery generation are leftovers of an aborted pass attempt (or a peer
-// running ahead after recovery, which cannot happen before our own resync);
-// they are dropped and counted, never probed.
-func (a *appNode) runReceiver(p transport.Proc, table *memtable.Table) error {
+// runReceiver drains pass k's data blocks, probing the table for each key,
+// until every sender's done marker has arrived. Blocks stamped with a
+// different recovery generation are leftovers of an aborted pass attempt (or
+// a peer running ahead after recovery, which cannot happen before our own
+// resync); they are dropped and counted, never probed.
+func (a *appNode) runReceiver(p transport.Proc, k int, table *memtable.Table) error {
 	ep := a.env.Links[a.id]
 	remaining := a.env.Layout.AppNodes
 	for remaining > 0 {
@@ -704,10 +697,8 @@ func (a *appNode) runReceiver(p transport.Proc, table *memtable.Table) error {
 				a.resil.StaleMsgs++
 				continue
 			}
-			for _, item := range msg.Items {
-				if err := table.Probe(p, a.localLine(item.Line), item.Key); err != nil {
-					return err
-				}
+			if err := a.probeBlock(p, k, table, msg); err != nil {
+				return err
 			}
 		case dataDone:
 			if msg.Gen != a.gen {
@@ -717,6 +708,30 @@ func (a *appNode) runReceiver(p transport.Proc, table *memtable.Table) error {
 			remaining--
 		default:
 			return fmt.Errorf("hpa: receiver %d: unexpected message %T", a.id, m.Payload)
+		}
+	}
+	return nil
+}
+
+// probeBlock probes the table with each of a pass-k block's keys, in order.
+// A peer's block arrives decoded from the mesh, so it is refused whole,
+// before any probe, unless it holds exactly one 4·k-byte key per line and
+// every line is one this node owns.
+func (a *appNode) probeBlock(p transport.Proc, k int, table *memtable.Table, blk dataBlock) error {
+	stride := itemset.KeyLen(k)
+	if len(blk.Keys) != len(blk.Lines)*stride {
+		return fmt.Errorf("hpa: receiver %d: block from node %d holds %d key bytes for %d pass-%d probes",
+			a.id, blk.From, len(blk.Keys), len(blk.Lines), k)
+	}
+	for _, line := range blk.Lines {
+		if line < 0 || int(line) >= a.params.TotalLines || a.ownerOf(line) != a.id {
+			return fmt.Errorf("hpa: receiver %d: block from node %d probes line %d, which it does not own",
+				a.id, blk.From, line)
+		}
+	}
+	for i, line := range blk.Lines {
+		if err := table.Probe(p, a.localLine(line), blk.Keys[i*stride:(i+1)*stride]); err != nil {
+			return err
 		}
 	}
 	return nil

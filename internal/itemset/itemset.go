@@ -105,17 +105,29 @@ func (s Itemset) Clone() Itemset {
 }
 
 // Key returns a compact byte-string key usable as a map key. Two itemsets
-// have equal keys iff they are equal.
+// have equal keys iff they are equal. It is string(AppendKey(nil, s)).
 func (s Itemset) Key() string {
-	var sb strings.Builder
-	sb.Grow(4 * len(s))
-	var buf [4]byte
-	for _, it := range s {
-		binary.LittleEndian.PutUint32(buf[:], uint32(it))
-		sb.Write(buf[:])
+	var buf [32]byte // up to 8 items: the string is the one allocation
+	dst := buf[:0]
+	if n := KeyLen(len(s)); n > len(buf) {
+		dst = make([]byte, 0, n)
 	}
-	return sb.String()
+	return string(AppendKey(dst, s))
 }
+
+// AppendKey appends s's canonical key, 4 bytes per item little-endian (the
+// bytes of Key), to dst and returns the extended slice. The counting phase
+// writes keys into reused buffers with it instead of allocating one string
+// per itemset.
+func AppendKey(dst []byte, s Itemset) []byte {
+	for _, it := range s {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(it))
+	}
+	return dst
+}
+
+// KeyLen is the length of a k-itemset's key: 4 bytes per item.
+func KeyLen(k int) int { return 4 * k }
 
 // FromKey reconstructs the itemset encoded by Key.
 func FromKey(key string) Itemset {

@@ -12,11 +12,11 @@ func BenchmarkProbeResident(b *testing.B) {
 	k := sim.NewKernel()
 	k.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 1024; i++ {
-			_ = tab.Insert(p, i, key(i))
+			_ = tab.Insert(p, i, []byte(key(i)))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = tab.Probe(p, i%1024, key(i%1024))
+			_ = tab.Probe(p, i%1024, []byte(key(i%1024)))
 		}
 	})
 	k.Run()
@@ -31,12 +31,12 @@ func BenchmarkProbeFaulting(b *testing.B) {
 	k := sim.NewKernel()
 	k.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 256; i++ {
-			_ = tab.Insert(p, i, key(i))
+			_ = tab.Insert(p, i, []byte(key(i)))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Stride guarantees misses against a 16-line residency.
-			_ = tab.Probe(p, (i*37)%256, key((i*37)%256))
+			_ = tab.Probe(p, (i*37)%256, []byte(key((i*37)%256)))
 		}
 	})
 	k.Run()
@@ -51,11 +51,11 @@ func BenchmarkRemoteUpdatePath(b *testing.B) {
 	k := sim.NewKernel()
 	k.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 256; i++ {
-			_ = tab.Insert(p, i, key(i))
+			_ = tab.Insert(p, i, []byte(key(i)))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = tab.Probe(p, (i*37)%256, key((i*37)%256))
+			_ = tab.Probe(p, (i*37)%256, []byte(key((i*37)%256)))
 		}
 	})
 	k.Run()

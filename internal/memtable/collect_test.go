@@ -37,13 +37,13 @@ func countedTable(t *testing.T, p *sim.Proc, pager Pager) *Table {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := tab.Insert(p, i%16, key(i)); err != nil {
+		if err := tab.Insert(p, i%16, []byte(key(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		for j := 0; j < i%7; j++ {
-			if err := tab.Probe(p, i%16, key(i)); err != nil {
+			if err := tab.Probe(p, i%16, []byte(key(i))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -27,6 +27,35 @@ func TestNewAllocatesOnlyTheDirectory(t *testing.T) {
 	}
 }
 
+// TestUnlimitedProbeAllocatesNothing: the counting phase's probe reads the
+// key it is handed; neither a hit nor a miss on a populated line allocates.
+func TestUnlimitedProbeAllocatesNothing(t *testing.T) {
+	tab, _ := New(Config{Lines: 64}, nil)
+	p := transport.NewRealProc()
+	for i := 0; i < 4; i++ {
+		if err := tab.Insert(p, 3, []byte(key(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit, miss := []byte(key(2)), []byte(key(9))
+	for _, c := range []struct {
+		name string
+		key  []byte
+	}{{"hit", hit}, {"miss", miss}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tab.Probe(p, 3, c.key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per probe, want 0", c.name, allocs)
+		}
+	}
+	if s := tab.Stats(); s.Probes != 202 || s.Hits != 101 { // one warm-up call each
+		t.Errorf("probes %d hits %d, want 202 and 101", s.Probes, s.Hits)
+	}
+}
+
 // TestUnlimitedProbeOfUntouchedLine: with no limit nothing is evicted, so a
 // probe of a line that holds no candidate is a plain miss that is counted
 // and charged but allocates nothing.
@@ -34,10 +63,10 @@ func TestUnlimitedProbeOfUntouchedLine(t *testing.T) {
 	const probeCost = 7 * sim.Microsecond
 	tab, _ := New(Config{Lines: 64, ProbeCost: probeCost}, nil)
 	runInSim(t, func(p *sim.Proc) {
-		if err := tab.Insert(p, 3, key(3)); err != nil {
+		if err := tab.Insert(p, 3, []byte(key(3))); err != nil {
 			t.Fatal(err)
 		}
-		k := key(5)
+		k := []byte(key(5))
 		start := p.Now()
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := tab.Probe(p, 5, k); err != nil {
@@ -109,13 +138,13 @@ func TestLimitedProbeAdmitsEmptyLine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		must(tab.Insert(p, 0, key(0)))
-		must(tab.Probe(p, 1, key(1))) // line 1 holds nothing
+		must(tab.Insert(p, 0, []byte(key(0))))
+		must(tab.Probe(p, 1, []byte(key(1)))) // line 1 holds nothing
 		if l := tab.find(1); l == nil || l.pos < 0 {
 			t.Fatal("probed empty line not admitted to the residency order")
 		}
-		must(tab.Probe(p, 0, key(0))) // LRU order, oldest first: 1, 0
-		must(tab.Insert(p, 2, key(2)))
+		must(tab.Probe(p, 0, []byte(key(0)))) // LRU order, oldest first: 1, 0
+		must(tab.Insert(p, 2, []byte(key(2))))
 		if len(pager.order) != 2 || pager.order[0] != 1 || pager.order[1] != 0 {
 			t.Fatalf("store-out order %v, want [1 0]", pager.order)
 		}
@@ -126,7 +155,7 @@ func TestLimitedProbeAdmitsEmptyLine(t *testing.T) {
 			t.Errorf("empty line 1: resident %v, %d bytes; want out with 0",
 				tab.IsResident(1), tab.LineBytes(1))
 		}
-		must(tab.Probe(p, 1, key(1))) // faulted back carrying nothing
+		must(tab.Probe(p, 1, []byte(key(1)))) // faulted back carrying nothing
 	})
 	s := tab.Stats()
 	if s.Evictions < 2 || s.Pagefaults != 1 || s.Hits != 1 {
@@ -153,9 +182,9 @@ func TestOutLineCountMatchesOutLines(t *testing.T) {
 					var err error
 					switch op := rng.Intn(20); {
 					case op < 6:
-						err = tab.Insert(p, li, key(step))
+						err = tab.Insert(p, li, []byte(key(step)))
 					case op < 18:
-						err = tab.Probe(p, li, key(rng.Intn(step+1)))
+						err = tab.Probe(p, li, []byte(key(rng.Intn(step+1))))
 					case op < 19:
 						if rerr := tab.Relocate(li, Location{Node: 9, Slot: li}); (rerr == nil) == tab.IsResident(li) {
 							t.Fatalf("%v/%v step %d: Relocate(%d) = %v, resident %v",

@@ -28,13 +28,13 @@ func TestFIFOEvictsOldestDespiteUse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		must(tab.Insert(p, 0, key(0)))
-		must(tab.Insert(p, 1, key(1)))
+		must(tab.Insert(p, 0, []byte(key(0))))
+		must(tab.Insert(p, 1, []byte(key(1))))
 		// Heavy use of line 0 must NOT protect it under FIFO.
 		for i := 0; i < 5; i++ {
-			must(tab.Probe(p, 0, key(0)))
+			must(tab.Probe(p, 0, []byte(key(0))))
 		}
-		must(tab.Insert(p, 2, key(2)))
+		must(tab.Insert(p, 2, []byte(key(2))))
 		if tab.IsResident(0) {
 			t.Error("FIFO kept the oldest line despite later arrival")
 		}
@@ -51,10 +51,10 @@ func TestLRUProtectsRecentlyUsed(t *testing.T) {
 		Policy: SimpleSwap, Eviction: LRU,
 	}, pager)
 	runInSim(t, func(p *sim.Proc) {
-		tab.Insert(p, 0, key(0))
-		tab.Insert(p, 1, key(1))
-		tab.Probe(p, 0, key(0)) // line 1 becomes LRU
-		tab.Insert(p, 2, key(2))
+		tab.Insert(p, 0, []byte(key(0)))
+		tab.Insert(p, 1, []byte(key(1)))
+		tab.Probe(p, 0, []byte(key(0))) // line 1 becomes LRU
+		tab.Insert(p, 2, []byte(key(2)))
 		if !tab.IsResident(0) || tab.IsResident(1) {
 			t.Error("LRU did not protect the recently used line")
 		}
@@ -71,7 +71,7 @@ func TestRandomEvictionIsSeededAndValid(t *testing.T) {
 		var layout []bool
 		runInSim(t, func(p *sim.Proc) {
 			for i := 0; i < 12; i++ {
-				if err := tab.Insert(p, i, key(i)); err != nil {
+				if err := tab.Insert(p, i, []byte(key(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -120,13 +120,13 @@ func TestAllEvictionPoliciesPreserveCounts(t *testing.T) {
 		oracle := map[string]int32{}
 		runInSim(t, func(p *sim.Proc) {
 			for i := 0; i < 30; i++ {
-				if err := tab.Insert(p, i, key(i)); err != nil {
+				if err := tab.Insert(p, i, []byte(key(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for step := 0; step < 1200; step++ {
 				li := rng.Intn(30)
-				if err := tab.Probe(p, li, key(li)); err != nil {
+				if err := tab.Probe(p, li, []byte(key(li))); err != nil {
 					t.Fatal(err)
 				}
 				oracle[key(li)]++
@@ -158,13 +158,13 @@ func TestResidentIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	runInSim(t, func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if err := tab.Insert(p, i, key(i)); err != nil {
+			if err := tab.Insert(p, i, []byte(key(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for step := 0; step < 600; step++ {
 			li := rng.Intn(20)
-			if err := tab.Probe(p, li, key(li)); err != nil {
+			if err := tab.Probe(p, li, []byte(key(li))); err != nil {
 				t.Fatal(err)
 			}
 			// Invariant: residentIdx content == lines whose header is

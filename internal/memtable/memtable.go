@@ -441,9 +441,10 @@ func (t *Table) notePeak() {
 }
 
 // Insert adds a candidate entry (count 0) to the given line during the
-// build phase. Swapped-out lines are faulted back in regardless of policy
-// (pinning applies only to the counting phase).
-func (t *Table) Insert(p transport.Proc, lineID int, key string) error {
+// build phase, copying key into the line's arena. Swapped-out lines are
+// faulted back in regardless of policy (pinning applies only to the counting
+// phase).
+func (t *Table) Insert(p transport.Proc, lineID int, key []byte) error {
 	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
 	}
@@ -472,8 +473,10 @@ func (t *Table) Insert(p transport.Proc, lineID int, key string) error {
 // the configured policy: SimpleSwap faults the line in; RemoteUpdate sends a
 // one-way update to the line's location. On a table with no limit, a probe of
 // a line that holds no candidate is a plain miss. Under a limit it admits the
-// line to the residency order like any other use.
-func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
+// line to the residency order like any other use. key is only read: a hit
+// or a miss allocates nothing, and only a remote update copies it (into the
+// string Pager.Update takes).
+func (t *Table) Probe(p transport.Proc, lineID int, key []byte) error {
 	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
 	}
@@ -481,7 +484,7 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 	t.stats.Probes++
 	if t.cfg.LimitBytes == 0 {
 		p.Work(t.cfg.ProbeCost)
-		if l := t.find(i); l != nil && l.flat.Add(key, 1) {
+		if l := t.find(i); l != nil && l.flat.AddBytes(key, 1) {
 			t.stats.Hits++
 		}
 		return nil
@@ -493,7 +496,7 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 			t.stats.Updates++
 			if t.cfg.Rec.Wants(trace.KUpdate) {
 				start := p.Now()
-				err := t.pager.Update(p, lineID, l.loc, key)
+				err := t.pager.Update(p, lineID, l.loc, string(key))
 				t.cfg.Rec.Emit(trace.Event{
 					At: start, Dur: p.Now().Sub(start), Node: t.cfg.Node,
 					Kind: trace.KUpdate, Line: lineID, Peer: l.loc.Node,
@@ -501,14 +504,14 @@ func (t *Table) Probe(p transport.Proc, lineID int, key string) error {
 				})
 				return err
 			}
-			return t.pager.Update(p, lineID, l.loc, key)
+			return t.pager.Update(p, lineID, l.loc, string(key))
 		}
 		if err := t.fault(p, i, l); err != nil {
 			return err
 		}
 	}
 	p.Work(t.cfg.ProbeCost)
-	if l.flat.Add(key, 1) {
+	if l.flat.AddBytes(key, 1) {
 		t.stats.Hits++
 	}
 	t.touch(i, l)

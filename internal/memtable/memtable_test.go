@@ -84,13 +84,13 @@ func TestInsertAndProbeUnlimited(t *testing.T) {
 	tab, _ := New(Config{Lines: 8}, nil)
 	runInSim(t, func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			if err := tab.Insert(p, i%8, key(i)); err != nil {
+			if err := tab.Insert(p, i%8, []byte(key(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 20; i++ {
 			for j := 0; j < i; j++ { // key i probed i times
-				if err := tab.Probe(p, i%8, key(i)); err != nil {
+				if err := tab.Probe(p, i%8, []byte(key(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -124,7 +124,7 @@ func TestLimitTriggersEvictionAndFaults(t *testing.T) {
 	tab, _ := New(Config{Lines: 4, LimitBytes: 3 * EntryMemBytes, Policy: SimpleSwap}, pager)
 	runInSim(t, func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			if err := tab.Insert(p, i, key(i)); err != nil {
+			if err := tab.Insert(p, i, []byte(key(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +136,7 @@ func TestLimitTriggersEvictionAndFaults(t *testing.T) {
 		}
 		// Line 0 was LRU-evicted; probing it must fault.
 		before := tab.Stats().Pagefaults
-		if err := tab.Probe(p, 0, key(0)); err != nil {
+		if err := tab.Probe(p, 0, []byte(key(0))); err != nil {
 			t.Fatal(err)
 		}
 		if tab.Stats().Pagefaults != before+1 {
@@ -165,12 +165,12 @@ func TestLRUOrderEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		must(tab.Insert(p, 0, key(0)))
-		must(tab.Insert(p, 1, key(1)))
+		must(tab.Insert(p, 0, []byte(key(0))))
+		must(tab.Insert(p, 1, []byte(key(1))))
 		// Touch line 0 so line 1 becomes LRU.
-		must(tab.Probe(p, 0, key(0)))
+		must(tab.Probe(p, 0, []byte(key(0))))
 		// Inserting line 2 must evict line 1 (LRU), not line 0.
-		must(tab.Insert(p, 2, key(2)))
+		must(tab.Insert(p, 2, []byte(key(2))))
 		if !tab.IsResident(0) || tab.IsResident(1) || !tab.IsResident(2) {
 			t.Errorf("LRU eviction picked wrong victim: resident = %v %v %v",
 				tab.IsResident(0), tab.IsResident(1), tab.IsResident(2))
@@ -187,14 +187,14 @@ func TestRemoteUpdatePolicyPinsLines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		must(tab.Insert(p, 0, key(0)))
-		must(tab.Insert(p, 1, key(1))) // evicts line 0
+		must(tab.Insert(p, 0, []byte(key(0))))
+		must(tab.Insert(p, 1, []byte(key(1)))) // evicts line 0
 		if tab.IsResident(0) {
 			t.Fatal("line 0 should be out")
 		}
 		faultsBefore := tab.Stats().Pagefaults
 		for i := 0; i < 5; i++ {
-			must(tab.Probe(p, 0, key(0)))
+			must(tab.Probe(p, 0, []byte(key(0))))
 		}
 		s := tab.Stats()
 		if s.Pagefaults != faultsBefore {
@@ -222,10 +222,10 @@ func TestRemoteUpdatePolicyPinsLines(t *testing.T) {
 func TestProbeMissIsNotCounted(t *testing.T) {
 	tab, _ := New(Config{Lines: 2}, nil)
 	runInSim(t, func(p *sim.Proc) {
-		if err := tab.Insert(p, 0, key(0)); err != nil {
+		if err := tab.Insert(p, 0, []byte(key(0))); err != nil {
 			t.Fatal(err)
 		}
-		if err := tab.Probe(p, 0, "absent"); err != nil {
+		if err := tab.Probe(p, 0, []byte("absent")); err != nil {
 			t.Fatal(err)
 		}
 		entries, _ := tab.Collect(p, 0)
@@ -243,8 +243,8 @@ func TestRelocate(t *testing.T) {
 	pager := newFakePager()
 	tab, _ := New(Config{Lines: 2, LimitBytes: 1 * EntryMemBytes, Policy: RemoteUpdate}, pager)
 	runInSim(t, func(p *sim.Proc) {
-		tab.Insert(p, 0, key(0))
-		tab.Insert(p, 1, key(1)) // line 0 evicted
+		tab.Insert(p, 0, []byte(key(0)))
+		tab.Insert(p, 1, []byte(key(1))) // line 0 evicted
 		out := tab.OutLines()
 		if len(out) != 1 {
 			t.Fatalf("OutLines = %v", out)
@@ -265,11 +265,11 @@ func TestPagerErrorsSurface(t *testing.T) {
 	pager := newFakePager()
 	tab, _ := New(Config{Lines: 2, LimitBytes: 1 * EntryMemBytes, Policy: SimpleSwap}, pager)
 	runInSim(t, func(p *sim.Proc) {
-		if err := tab.Insert(p, 0, key(0)); err != nil {
+		if err := tab.Insert(p, 0, []byte(key(0))); err != nil {
 			t.Fatal(err)
 		}
 		pager.failNext = true
-		if err := tab.Insert(p, 1, key(1)); err == nil {
+		if err := tab.Insert(p, 1, []byte(key(1))); err == nil {
 			t.Error("store failure not surfaced")
 		}
 	})
@@ -286,14 +286,14 @@ func TestResidentNeverExceedsLimitDuringCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	runInSim(t, func(p *sim.Proc) {
 		for i := 0; i < lines; i++ {
-			if err := tab.Insert(p, i, key(i)); err != nil {
+			if err := tab.Insert(p, i, []byte(key(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		oracle := map[string]int32{}
 		for step := 0; step < 2000; step++ {
 			li := rng.Intn(lines)
-			if err := tab.Probe(p, li, key(li)); err != nil {
+			if err := tab.Probe(p, li, []byte(key(li))); err != nil {
 				t.Fatal(err)
 			}
 			oracle[key(li)]++
@@ -330,11 +330,11 @@ func TestCountsIdenticalAcrossPolicies(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		runInSim(t, func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
-				tab.Insert(p, i, key(i))
+				tab.Insert(p, i, []byte(key(i)))
 			}
 			for step := 0; step < 1500; step++ {
 				li := rng.Intn(20)
-				if err := tab.Probe(p, li, key(li)); err != nil {
+				if err := tab.Probe(p, li, []byte(key(li))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -367,7 +367,7 @@ func TestMultiEntryLines(t *testing.T) {
 		// 3 entries per line, 4 lines = 12 entries > limit of 6.
 		for e := 0; e < 3; e++ {
 			for li := 0; li < 4; li++ {
-				if err := tab.Insert(p, li, key(li*10+e)); err != nil {
+				if err := tab.Insert(p, li, []byte(key(li*10+e))); err != nil {
 					t.Fatal(err)
 				}
 			}

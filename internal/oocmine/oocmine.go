@@ -76,6 +76,7 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 
 	p := transport.NewRealProc()
 	lineOf := func(is itemset.Itemset) int { return int(is.Hash() % uint64(cfg.Lines)) }
+	var key []byte
 	prev := l1
 	for k := 2; ; k++ {
 		if cfg.MaxPasses != 0 && k > cfg.MaxPasses {
@@ -94,15 +95,19 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 		if err != nil {
 			return nil, stats, err
 		}
+		// Every key is written into one reused scratch buffer; the table
+		// copies what it keeps, so no key is allocated per subset.
 		for _, c := range cands {
-			if err := tab.Insert(p, lineOf(c), c.Key()); err != nil {
+			key = itemset.AppendKey(key[:0], c)
+			if err := tab.Insert(p, lineOf(c), key); err != nil {
 				return nil, stats, err
 			}
 		}
 		for _, t := range txns {
 			itemset.Subsets(t, k, func(s itemset.Itemset) {
 				if err == nil {
-					err = tab.Probe(p, lineOf(s), s.Key())
+					key = itemset.AppendKey(key[:0], s)
+					err = tab.Probe(p, lineOf(s), key)
 				}
 			})
 			if err != nil {

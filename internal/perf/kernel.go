@@ -153,7 +153,7 @@ func BenchPass2CountHTreeUniform(b *testing.B) { pass2Setup(); benchPass2(b, &pa
 // memtableCand is one pass-2 candidate as the owning node's table sees it.
 type memtableCand struct {
 	line int
-	key  string
+	key  []byte
 }
 
 var (
@@ -181,7 +181,7 @@ func memtableSetup() {
 				line := hpa.HashFNV.HashPairOf(a, b) % (2 * memtableLines)
 				if line%2 == 0 {
 					memtableCands = append(memtableCands, memtableCand{
-						line: int(line / 2), key: itemset.New(a, b).Key(),
+						line: int(line / 2), key: itemset.AppendKey(nil, itemset.New(a, b)),
 					})
 				}
 			}

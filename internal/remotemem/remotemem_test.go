@@ -246,7 +246,7 @@ func TestMigrationMovesLinesAndRelocates(t *testing.T) {
 	r.k.Go("app", func(p *sim.Proc) {
 		defer r.stopAll()
 		for i := 0; i < 16; i++ {
-			if err := tab.Insert(p, i, fmt.Sprintf("k%d", i)); err != nil {
+			if err := tab.Insert(p, i, []byte(fmt.Sprintf("k%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}

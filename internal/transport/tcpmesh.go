@@ -18,6 +18,14 @@ var ErrMeshClosed = errors.New("transport: mesh closed")
 // meshJoinTimeout bounds the whole bootstrap (registration + dialing).
 const meshJoinTimeout = 30 * time.Second
 
+// meshReadBuffer is the kernel receive buffer of an inbound data edge. A
+// sender can ship a whole pass's blocks faster than the peer's read loop is
+// scheduled. With Linux's autotuned start (128 KB, half of it advertised) the
+// open window stays below one 64 KB loopback segment, the receiver withholds
+// the window update, and the sender idles until its 200 ms persist timer
+// fires. At 1 MB the window stays well above one segment.
+const meshReadBuffer = 1 << 20
+
 // Bootstrap and data frames. Every connection starts with one meshHello;
 // registration connections then carry one meshTable back, data connections
 // carry meshFrames for the rest of their life.
@@ -393,6 +401,11 @@ func (m *TCPMesh) serveConn(conn net.Conn) {
 		m.regMu.Unlock()
 		// The connection is parked until Join sends the table on it.
 	case helloData:
+		if tc, ok := conn.(*net.TCPConn); ok {
+			// Best effort: the kernel caps the size, and a smaller buffer
+			// costs only speed.
+			_ = tc.SetReadBuffer(meshReadBuffer)
+		}
 		m.readLoop(hello.From, conn, dec)
 	case helloRejoin:
 		m.serveRejoin(hello, conn)
