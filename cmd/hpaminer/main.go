@@ -65,7 +65,7 @@ func main() {
 		tcpCoord  = flag.String("tcp-coord", "", "internal: mesh rendezvous address for tcp nodes > 0")
 		supervise = flag.Bool("supervise", false, "tcp: arm mesh liveness, per-pass checkpoints, and miner respawn on crash")
 		ckptDir   = flag.String("ckpt-dir", "", "tcp: checkpoint directory (default: a temp dir when -supervise is set)")
-		restartLm = flag.Int("restart-limit", 8, "tcp: max miner respawns before the run is declared unrecoverable")
+		restartLm = flag.Int("restart-limit", 8, "tcp: max miner respawns, and max recoveries per node, before the run is declared unrecoverable")
 		heartbeat = flag.Duration("heartbeat", 250*time.Millisecond, "tcp: mesh heartbeat period under -supervise")
 		spillDir  = flag.String("spill-dir", "", "tcp: arm a local-disk fallback tier for store-outs the fleet refuses")
 		chaosKill = flag.String("chaos-kill", "", "tcp fault injection: node=K:point:N kills child K's process at the N-th hit of the named killpoint")
@@ -259,7 +259,6 @@ func (a tcpArgs) config() core.TCPConfig {
 	if a.supervise {
 		cfg.Heartbeat = a.heartbeat
 		cfg.CheckpointDir = a.ckptDir
-		cfg.Recovery = &hpa.RecoveryOptions{MaxRecoveries: a.restartLimit}
 		cfg.RestartLimit = a.restartLimit
 		cfg.ResumeGen = a.resumeGen
 	}
@@ -502,10 +501,8 @@ func runTCP(a tcpArgs) {
 		for _, ps := range info.Pagers {
 			if ps != nil {
 				nacks += ps.CapacityNacks
+				spilled += ps.FallbackStores
 			}
-		}
-		for _, fb := range info.Fallbacks {
-			spilled += fb
 		}
 		if spilled > 0 || nacks > 0 {
 			fmt.Printf("  backpressure: %d capacity NACKs, %d lines spilled to disk\n", nacks, spilled)

@@ -21,9 +21,6 @@ const (
 	// HashTree counts with the Agrawal & Srikant hash tree. Kept as the
 	// reference implementation the flat kernel is property-tested against.
 	HashTree
-	// HashTable counts by enumerating k-subsets and probing a Go map — the
-	// naive per-candidate structure, kept for cross-checking.
-	HashTable
 )
 
 func (c Counting) String() string {
@@ -32,8 +29,6 @@ func (c Counting) String() string {
 		return "flat-table"
 	case HashTree:
 		return "hash-tree"
-	case HashTable:
-		return "hash-table"
 	default:
 		return fmt.Sprintf("Counting(%d)", int(c))
 	}
@@ -141,12 +136,9 @@ func Mine(txns []itemset.Itemset, cfg Config) (*Result, error) {
 		}
 		var large []itemset.Itemset
 		var counts map[string]int
-		switch cfg.Counting {
-		case HashTable:
-			large, counts = countHashTable(txns, cands, k, minCount)
-		case HashTree:
+		if cfg.Counting == HashTree {
 			large, counts = countHashTree(txns, cands, k, minCount)
-		default:
+		} else {
 			large, counts = countFlat(txns, cands, k, minCount)
 		}
 		res.Passes = append(res.Passes, PassStats{K: k, Candidates: len(cands), Large: len(large)})
@@ -183,31 +175,6 @@ func countFlat(txns, cands []itemset.Itemset, k, minCount int) ([]itemset.Itemse
 		tab.CountTransaction(t)
 	}
 	return tab.Frequent(minCount)
-}
-
-func countHashTable(txns, cands []itemset.Itemset, k, minCount int) ([]itemset.Itemset, map[string]int) {
-	counts := make(map[string]int, len(cands))
-	for _, c := range cands {
-		counts[c.Key()] = 0
-	}
-	for _, t := range txns {
-		itemset.Subsets(t, k, func(s itemset.Itemset) {
-			key := s.Key()
-			if _, ok := counts[key]; ok {
-				counts[key]++
-			}
-		})
-	}
-	var large []itemset.Itemset
-	out := make(map[string]int)
-	for _, c := range cands {
-		if n := counts[c.Key()]; n >= minCount {
-			large = append(large, c)
-			out[c.Key()] = n
-		}
-	}
-	sortLex(large)
-	return large, out
 }
 
 // BruteForceSupport counts the exact support of each query itemset by

@@ -77,30 +77,28 @@ func TestMinCount(t *testing.T) {
 	}
 }
 
-func TestHashTreeAndHashTableAgree(t *testing.T) {
+// TestCountingBackendsAgreeWithBruteForce checks both counting backends
+// against the exhaustive lattice search on a Quest workload: three
+// independent counters must find the same large itemsets.
+func TestCountingBackendsAgreeWithBruteForce(t *testing.T) {
 	p := quest.Defaults()
 	p.Transactions = 800
 	p.Items = 60
 	p.Patterns = 40
 	p.AvgTxnLen = 8
 	txns := quest.Generate(p)
-	a, err := Mine(txns, Config{MinSupport: 0.02, Counting: HashTree})
+	want, err := BruteForceMine(txns, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Mine(txns, Config{MinSupport: 0.02, Counting: HashTable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, why := SameLarge(a, b); !ok {
-		t.Fatalf("hash tree vs hash table disagree: %s", why)
-	}
-	c, err := Mine(txns, Config{MinSupport: 0.02, Counting: FlatTable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, why := SameLarge(a, c); !ok {
-		t.Fatalf("hash tree vs flat table disagree: %s", why)
+	for _, c := range []Counting{FlatTable, HashTree} {
+		got, err := Mine(txns, Config{MinSupport: 0.02, Counting: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, why := SameLarge(got, want); !ok {
+			t.Fatalf("%v vs brute force: %s", c, why)
+		}
 	}
 }
 
@@ -218,7 +216,7 @@ func TestSameLargeDetectsDifferences(t *testing.T) {
 	if ok, _ := SameLarge(a, b); ok {
 		t.Error("different thresholds reported as same results")
 	}
-	c, _ := Mine(toy(), Config{MinSupport: 0.5, Counting: HashTable})
+	c, _ := Mine(toy(), Config{MinSupport: 0.5, Counting: HashTree})
 	if ok, why := SameLarge(a, c); !ok {
 		t.Errorf("identical results reported different: %s", why)
 	}

@@ -43,15 +43,6 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 func hashBytes(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
@@ -208,10 +199,6 @@ func (l *Line) keyEq(id int32, key []byte) bool {
 	return string(l.arena[l.keyStart(id):l.ends[id]]) == string(key) // no allocation
 }
 
-func (l *Line) keyEqString(id int32, key string) bool {
-	return string(l.arena[l.keyStart(id):l.ends[id]]) == key // no allocation
-}
-
 // AddBytes increments the first entry with the given key by delta and
 // reports whether it was found. The hot probe of the counting phase: keys
 // arrive in scratch buffers or packed blocks, and neither the probe nor a
@@ -240,14 +227,14 @@ func (l *Line) AddBytes(key []byte, delta int32) bool {
 }
 
 // Get returns the count of the first entry with the given key.
-func (l *Line) Get(key string) (int32, bool) {
+func (l *Line) Get(key []byte) (int32, bool) {
 	if l.indexed != int32(len(l.counts)) {
 		l.sync()
 	}
 	if len(l.slots) == 0 {
 		return 0, false
 	}
-	h := hashString(key)
+	h := hashBytes(key)
 	fp := byte(h >> 56)
 	i := uint32(h) & l.mask
 	for {
@@ -255,7 +242,7 @@ func (l *Line) Get(key string) (int32, bool) {
 		if id < 0 {
 			return 0, false
 		}
-		if l.fps[i] == fp && l.keyEqString(id, key) {
+		if l.fps[i] == fp && l.keyEq(id, key) {
 			return l.counts[id], true
 		}
 		i = (i + 1) & l.mask

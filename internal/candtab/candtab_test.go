@@ -27,13 +27,13 @@ func TestLineBasics(t *testing.T) {
 	if !l.AddBytes([]byte("beta"), 2) || !l.AddBytes([]byte("beta"), 1) {
 		t.Fatal("Add(beta) not found")
 	}
-	if c, ok := l.Get("beta"); !ok || c != 3 {
+	if c, ok := l.Get([]byte("beta")); !ok || c != 3 {
 		t.Fatalf("Get(beta) = %d,%v want 3,true", c, ok)
 	}
-	if c, ok := l.Get("gamma"); !ok || c != 7 {
+	if c, ok := l.Get([]byte("gamma")); !ok || c != 7 {
 		t.Fatalf("Get(gamma) = %d,%v want 7,true", c, ok)
 	}
-	if _, ok := l.Get("delta"); ok {
+	if _, ok := l.Get([]byte("delta")); ok {
 		t.Fatal("Get(delta) found a missing key")
 	}
 	// Insertion order must be preserved for pager round-trips.
@@ -63,7 +63,7 @@ func TestLineDuplicateFirstWins(t *testing.T) {
 	if l.Count(0) != 6 || l.Count(2) != 100 {
 		t.Fatalf("counts = %d,%d want 6,100", l.Count(0), l.Count(2))
 	}
-	if c, _ := l.Get("dup"); c != 6 {
+	if c, _ := l.Get([]byte("dup")); c != 6 {
 		t.Fatalf("Get(dup) = %d, want 6", c)
 	}
 }
@@ -79,7 +79,7 @@ func TestLineGrowth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if c, ok := l.Get(k); !ok || c != int32(i) {
+		if c, ok := l.Get([]byte(k)); !ok || c != int32(i) {
 			t.Fatalf("Get(%s) = %d,%v want %d,true", k, c, ok, i)
 		}
 		if l.Key(i) != k {

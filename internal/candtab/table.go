@@ -47,7 +47,7 @@ func (t *Table) K() int { return t.k }
 
 // Count returns the count of candidate c, or 0 if absent.
 func (t *Table) Count(c itemset.Itemset) int {
-	n, _ := t.line.Get(c.Key())
+	n, _ := t.line.Get(itemset.AppendKey(t.scratch[:0], c))
 	return int(n)
 }
 

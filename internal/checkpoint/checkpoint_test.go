@@ -163,3 +163,49 @@ func TestDigestsBindCheckpointToWorkload(t *testing.T) {
 		t.Error("different params share a digest")
 	}
 }
+
+// FuzzCheckpointLoad feeds arbitrary file bytes to Load, the one decoder of
+// checkpoint files: a replacement process may find a torn, truncated or
+// foreign file. Load must return an error or a state for its own node, and
+// never panic.
+func FuzzCheckpointLoad(f *testing.F) {
+	seedDir := f.TempDir()
+	for _, node := range []int{3, 5} {
+		st, err := NewStore(seedDir, node)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s := sampleState()
+		s.Node = node
+		if err := st.Save(s); err != nil {
+			f.Fatal(err)
+		}
+		valid, err := os.ReadFile(st.Path())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a checkpoint"))
+
+	st, err := NewStore(f.TempDir(), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		if err := os.WriteFile(st.Path(), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Load()
+		switch {
+		case err != nil && got != nil:
+			t.Fatalf("Load returned both a state and the error %v", err)
+		case err == nil && got == nil:
+			t.Fatal("Load of an existing file returned neither a state nor an error")
+		case err == nil && got.Node != 3:
+			t.Fatalf("node 3's store loaded node %d's state", got.Node)
+		}
+	})
+}

@@ -86,11 +86,7 @@ type Config struct {
 	RemoteCosts     remotemem.Costs
 	DiskProfile     disk.Profile
 	MonitorInterval sim.Duration
-	// MonitorSampleCPU is the per-sample compute cost of the availability
-	// poll on a memory node (the `netstat -k` fork); 0 keeps the monitor
-	// default.
-	MonitorSampleCPU sim.Duration
-	StoreCapacity    int64 // spare bytes per memory-available node
+	StoreCapacity   int64 // spare bytes per memory-available node
 
 	Withdrawals []Withdrawal
 
@@ -291,9 +287,6 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 		stores = append(stores, st)
 		k.Go(fmt.Sprintf("store-%d", id), func(p *sim.Proc) { st.Run(p) }).BindCPU(cpus[id])
 		mon := remotemem.NewMonitor(eps[id], layout, st, cfg.MonitorInterval)
-		if cfg.MonitorSampleCPU > 0 {
-			mon.SampleCPU = cfg.MonitorSampleCPU
-		}
 		mon.Rec = cfg.Trace
 		monitors = append(monitors, mon)
 		k.Go(fmt.Sprintf("monitor-%d", id), func(p *sim.Proc) { mon.Run(p) }).BindCPU(cpus[id])

@@ -31,7 +31,8 @@ type TCPConfig struct {
 	// the others join via Coord. -1 hosts ALL nodes in this process (an
 	// in-process mesh over loopback — the fidelity experiment and tests).
 	Node int
-	// Listen is node 0's rendezvous listen address (default "127.0.0.1:0").
+	// Listen is node 0's rendezvous listen address (default "127.0.0.1:0");
+	// an in-process mesh (Node -1) always listens on loopback.
 	Listen string
 	// Coord is the rendezvous address nodes > 0 join through.
 	Coord string
@@ -45,10 +46,6 @@ type TCPConfig struct {
 	Eviction   memtable.Eviction
 	Hash       hpa.HashKind
 	MaxPasses  int
-	// BlockSize is the modeled message block size (default 4096, the
-	// simulated fabric's paper value — it drives batching and wire-size
-	// accounting, keeping TCP and simulated traffic comparable).
-	BlockSize int
 
 	// ClientOptions tune the rmtp clients (timeouts, retries, breaker).
 	ClientOptions rmtp.Options
@@ -57,14 +54,12 @@ type TCPConfig struct {
 	// node 0's listener is bound (so a parent can spawn the other processes).
 	OnReady func(meshAddr string)
 
-	// Heartbeat arms the mesh liveness layer: peers exchange heartbeats and
-	// a silent or reset peer is declared dead, turning hung collectives into
-	// typed *transport.PeerLostError failures. Zero leaves liveness off (the
-	// pre-fault-tolerance behavior).
+	// Heartbeat arms the mesh liveness layer and peer-loss recovery: peers
+	// exchange heartbeats, a peer silent for 8 periods or with a reset
+	// connection is declared dead, and the survivors wait for its
+	// replacement and replay the interrupted pass instead of hanging. Zero
+	// leaves both off.
 	Heartbeat time.Duration
-	// PeerTimeout is the silence threshold before a peer is declared dead
-	// (default 8×Heartbeat).
-	PeerTimeout time.Duration
 	// CheckpointDir, when set, persists each local node's state after every
 	// pass, and — on a respawned process (ResumeGen > 0) — restores it.
 	CheckpointDir string
@@ -72,18 +67,15 @@ type TCPConfig struct {
 	// it rejoins the live mesh through Coord instead of the initial
 	// rendezvous, restores its checkpoint, and replays to the cluster's pass.
 	ResumeGen int
-	// Recovery arms peer-loss recovery in the mining loop (survivors wait for
-	// the lost rank's replacement and replay the interrupted pass). Requires
-	// Heartbeat. Nil leaves recovery off even with liveness on.
-	Recovery *hpa.RecoveryOptions
 	// Respawn, when set, makes this process the fleet supervisor: it is
 	// called once per directly observed peer death with the dead rank and the
 	// recovery generation its replacement must resume at. Return ErrCleanExit
 	// when the rank's process had exited cleanly (mining finished) to skip
 	// the respawn; any other error aborts the run.
 	Respawn func(rank, gen int) error
-	// RestartLimit caps supervisor respawns before the run is declared
-	// unrecoverable (default 8).
+	// RestartLimit caps both the supervisor's respawns and each node's
+	// peer-loss recoveries before the run is declared unrecoverable
+	// (default 8).
 	RestartLimit int
 	// SpillDir, when set, arms a local-disk fallback tier: store-outs the
 	// whole server fleet refuses (capacity NACKs, open breakers, dead
@@ -162,8 +154,6 @@ type TCPRunInfo struct {
 	// Spills exposes the per-local-node disk fallback tier stats (nil when
 	// SpillDir was unset or the node never spilled).
 	Spills []*memtable.FilePagerStats
-	// Fallbacks[id] counts node id's store-outs diverted to the disk tier.
-	Fallbacks []uint64
 	// Restarts is how many miner respawns this process's supervisor
 	// performed (0 on non-supervising processes and fault-free runs).
 	Restarts int
@@ -182,28 +172,20 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 	if cfg.LimitBytes > 0 && len(cfg.Servers) == 0 {
 		return nil, errors.New("core: memory limit set but no rmtp servers given")
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 4096
+	if cfg.RestartLimit <= 0 {
+		cfg.RestartLimit = 8
 	}
 	if cfg.ResumeGen > 0 && (cfg.Node < 1 || cfg.Heartbeat <= 0 || cfg.CheckpointDir == "") {
 		return nil, errors.New("core: resuming needs a node > 0, liveness (Heartbeat), and a checkpoint dir")
 	}
 
-	opts := transport.MeshOptions{
-		BlockSize:   cfg.BlockSize,
-		Heartbeat:   cfg.Heartbeat,
-		PeerTimeout: cfg.PeerTimeout,
-	}
+	opts := transport.MeshOptions{Heartbeat: cfg.Heartbeat}
 	var superv *supervisor
 	if cfg.Respawn != nil {
 		if cfg.Heartbeat <= 0 {
 			return nil, errors.New("core: a supervisor (Respawn) requires liveness (Heartbeat)")
 		}
-		limit := cfg.RestartLimit
-		if limit <= 0 {
-			limit = 8
-		}
-		superv = &supervisor{respawn: cfg.Respawn, limit: limit}
+		superv = &supervisor{respawn: cfg.Respawn, limit: cfg.RestartLimit}
 		opts.OnPeerLost = superv.peerLost
 	}
 
@@ -212,34 +194,19 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 	meshes := make([]*transport.TCPMesh, cfg.AppNodes)
 	switch {
 	case cfg.Node == -1:
-		if cfg.AppNodes == 1 {
-			m, err := transport.ListenMeshOpts(1, listenAddr(cfg), opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.Join(); err != nil {
-				m.Close()
-				return nil, err
-			}
-			if cfg.OnReady != nil {
-				cfg.OnReady(m.Addr())
-			}
-			meshes[0] = m
-		} else {
-			ms, err := transport.LoopbackMeshesOpts(cfg.AppNodes, opts)
-			if err != nil {
-				return nil, err
-			}
-			copy(meshes, ms)
-			if cfg.OnReady != nil {
-				cfg.OnReady(ms[0].Addr())
-			}
+		ms, err := transport.LoopbackMeshes(cfg.AppNodes, opts)
+		if err != nil {
+			return nil, err
+		}
+		copy(meshes, ms)
+		if cfg.OnReady != nil {
+			cfg.OnReady(ms[0].Addr())
 		}
 		for i := 0; i < cfg.AppNodes; i++ {
 			local = append(local, i)
 		}
 	case cfg.Node == 0:
-		m, err := transport.ListenMeshOpts(cfg.AppNodes, listenAddr(cfg), opts)
+		m, err := transport.ListenMesh(cfg.AppNodes, listenAddr(cfg), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +233,7 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 		if cfg.Coord == "" {
 			return nil, errors.New("core: tcp node > 0 needs the rendezvous address (-tcp-coord)")
 		}
-		m, err := transport.JoinMeshOpts(cfg.Node, cfg.AppNodes, cfg.Coord, opts)
+		m, err := transport.JoinMesh(cfg.Node, cfg.AppNodes, cfg.Coord, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -349,17 +316,17 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 
 	spawn := &transport.RealSpawner{}
 	env := hpa.Env{
-		Spawn:     spawn,
-		Layout:    layout,
-		Links:     eps,
-		Coords:    coords,
-		Local:     local,
-		Pagers:    pagers,
-		Txns:      parts,
-		Ckpts:     ckpts,
-		Resume:    resume,
-		ResumeGen: cfg.ResumeGen,
-		Recovery:  cfg.Recovery,
+		Spawn:        spawn,
+		Layout:       layout,
+		Links:        eps,
+		Coords:       coords,
+		Local:        local,
+		Pagers:       pagers,
+		Txns:         parts,
+		Ckpts:        ckpts,
+		Resume:       resume,
+		ResumeGen:    cfg.ResumeGen,
+		RestartLimit: cfg.RestartLimit,
 	}
 	params := hpa.Params{
 		MinSupport: cfg.MinSupport,
@@ -390,12 +357,11 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 		return nil, err
 	}
 	info := &TCPRunInfo{
-		Result:    res,
-		Wall:      time.Since(start),
-		Pagers:    make([]*remotemem.TCPPagerStats, cfg.AppNodes),
-		Spills:    make([]*memtable.FilePagerStats, cfg.AppNodes),
-		Fallbacks: make([]uint64, cfg.AppNodes),
-		Restarts:  restarts,
+		Result:   res,
+		Wall:     time.Since(start),
+		Pagers:   make([]*remotemem.TCPPagerStats, cfg.AppNodes),
+		Spills:   make([]*memtable.FilePagerStats, cfg.AppNodes),
+		Restarts: restarts,
 	}
 	for _, id := range local {
 		info.MeshMessages += meshes[id].Messages()
@@ -409,7 +375,6 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 			r.Failovers += st.Failovers
 			r.LinesLost += st.Recoveries
 			r.FallbackStores += st.FallbackStores
-			info.Fallbacks[id] = st.FallbackStores
 		}
 		if spillPagers[id] != nil {
 			st := spillPagers[id].Stats()

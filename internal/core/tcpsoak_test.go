@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/apriori"
 	"repro/internal/chaos"
-	"repro/internal/hpa"
 	"repro/internal/memtable"
 	"repro/internal/quest"
 	"repro/internal/rmtp"
@@ -43,7 +42,6 @@ func soakTCPConfig() TCPConfig {
 		MinSupport:    0.02,
 		TotalLines:    4000,
 		Heartbeat:     25 * time.Millisecond,
-		Recovery:      &hpa.RecoveryOptions{MaxRecoveries: 6, RejoinWait: 30 * time.Second},
 		RestartLimit:  6,
 		ClientOptions: rmtp.Options{Timeout: 2 * time.Second, Retries: 2, Backoff: 10 * time.Millisecond},
 	}
@@ -260,7 +258,6 @@ func TestTCPCapacityExhaustionCompletesViaSpill(t *testing.T) {
 	cfg := soakTCPConfig()
 	cfg.Node = -1 // all nodes in-process: backpressure needs no supervision
 	cfg.Heartbeat = 0
-	cfg.Recovery = nil
 	cfg.LimitBytes = 1200
 	cfg.Policy = memtable.SimpleSwap
 	cfg.Servers = servers
@@ -277,10 +274,8 @@ func TestTCPCapacityExhaustionCompletesViaSpill(t *testing.T) {
 	for _, ps := range info.Pagers {
 		if ps != nil {
 			nacks += ps.CapacityNacks
+			spilled += ps.FallbackStores
 		}
-	}
-	for _, fb := range info.Fallbacks {
-		spilled += fb
 	}
 	if nacks == 0 {
 		t.Error("fleet this small drew no capacity NACKs")
@@ -289,9 +284,13 @@ func TestTCPCapacityExhaustionCompletesViaSpill(t *testing.T) {
 		t.Error("no store-outs diverted to the disk tier")
 	}
 	for id, ns := range info.Result.PerNode {
-		if info.Fallbacks[id] != ns.Resilience.FallbackStores {
-			t.Errorf("node %d: %d fallback stores in run info, %d in resilience counters",
-				id, info.Fallbacks[id], ns.Resilience.FallbackStores)
+		var fb uint64
+		if ps := info.Pagers[id]; ps != nil {
+			fb = ps.FallbackStores
+		}
+		if fb != ns.Resilience.FallbackStores {
+			t.Errorf("node %d: %d fallback stores in pager stats, %d in resilience counters",
+				id, fb, ns.Resilience.FallbackStores)
 		}
 	}
 	t.Logf("backpressure: %d capacity NACKs, %d lines spilled", nacks, spilled)

@@ -165,7 +165,7 @@ func TestPass2SenderAllocatesPerBlock(t *testing.T) {
 	a := &appNode{
 		id:     0,
 		env:    Env{Layout: cluster.Layout{AppNodes: 2}, Links: []transport.Endpoint{ep, nil}},
-		params: Params{TotalLines: 1000, BatchItems: (4096 - blockHeaderBytes) / probeItemWireBytes, Costs: DefaultCPUCosts()},
+		params: Params{TotalLines: 1000, Costs: DefaultCPUCosts()},
 	}
 	var txns []itemset.Itemset
 	for t := 0; t < 4; t++ {
@@ -186,8 +186,8 @@ func TestPass2SenderAllocatesPerBlock(t *testing.T) {
 	if probes != 4*60*59/2 || ep.dones != 2 {
 		t.Fatalf("one scan shipped %d probes and %d done markers, want %d and 2", probes, ep.dones, 4*60*59/2)
 	}
-	if blocks < probes/a.params.BatchItems {
-		t.Fatalf("%d probes in %d blocks of at most %d", probes, blocks, a.params.BatchItems)
+	if batch := blockItems(ep.BlockSize()); blocks < probes/batch {
+		t.Fatalf("%d probes in %d blocks of at most %d", probes, blocks, batch)
 	}
 	allocs := testing.AllocsPerRun(5, send)
 	t.Logf("%d probes in %d blocks: %.0f allocations per scan", probes, blocks, allocs)

@@ -45,9 +45,9 @@
 //     to an apriori.Result for cross-checking against sequential mining.
 //   - Pending: completion tracking; OnAllDone fires when every node has
 //     finished, letting the harness stop monitors and tracers.
-//   - RecoveryOptions: peer-loss recovery on the TCP mesh — survivors
+//   - Env.RestartLimit: peer-loss recovery on the TCP mesh — survivors
 //     wait for the lost rank's respawned replacement and replay the
-//     interrupted pass.
+//     interrupted pass, at most RestartLimit times per node.
 //
 // With tracing enabled each node emits one span event per pass (named
 // "pass-k"), and registers resident_bytes / out_lines gauge probes on its

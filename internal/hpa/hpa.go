@@ -94,7 +94,6 @@ type Params struct {
 	Eviction   memtable.Eviction // victim selection (default LRU)
 	Hash       HashKind          // candidate-partitioning hash (default FNV)
 	MaxPasses  int               // 0 = to completion
-	BatchItems int               // probe items per data block; 0 derives from block size
 	Costs      CPUCosts
 }
 
@@ -156,35 +155,17 @@ type Env struct {
 	// ResumeGen > 0 marks this process as a respawned miner rejoining a
 	// live cluster at the given recovery generation.
 	ResumeGen int
-	// Recovery arms peer-loss recovery: on a *PeerLostError the node waits
-	// for the rank to rejoin, bumps its generation, and replays the
-	// interrupted pass after a cluster-wide resync. Requires the endpoint
-	// to implement transport.Reviver.
-	Recovery *RecoveryOptions
+	// RestartLimit caps each node's peer-loss recoveries. A node recovers
+	// when a pass fails with a *transport.PeerLostError on an endpoint that
+	// implements transport.Reviver, which only a TCP mesh with liveness on
+	// reports: it waits for the rank to rejoin, bumps its generation, and
+	// replays the interrupted pass after a cluster-wide resync.
+	RestartLimit int
 }
 
-// RecoveryOptions bounds the peer-loss recovery loop.
-type RecoveryOptions struct {
-	// RejoinWait is how long to wait for a lost rank's replacement
-	// (default 30s — covers supervisor respawn plus checkpoint replay).
-	RejoinWait time.Duration
-	// MaxRecoveries caps observed restarts per node (default 8).
-	MaxRecoveries int
-}
-
-func (r *RecoveryOptions) rejoinWait() time.Duration {
-	if r != nil && r.RejoinWait > 0 {
-		return r.RejoinWait
-	}
-	return 30 * time.Second
-}
-
-func (r *RecoveryOptions) maxRecoveries() int {
-	if r != nil && r.MaxRecoveries > 0 {
-		return r.MaxRecoveries
-	}
-	return 8
-}
+// rejoinWait is how long a node waits for a lost rank's replacement: it
+// covers the supervisor's respawn plus the replacement's checkpoint replay.
+const rejoinWait = 30 * time.Second
 
 // LocalNodes returns the application node ids this process hosts.
 func (e Env) LocalNodes() []int {
@@ -394,12 +375,6 @@ func Start(env Env, params Params) (*Pending, error) {
 	}
 	if env.ResumeGen > 0 && len(local) != 1 {
 		return nil, errors.New("hpa: a respawned process must host exactly one node")
-	}
-	if params.BatchItems == 0 {
-		params.BatchItems = (env.Links[local[0]].BlockSize() - blockHeaderBytes) / probeItemWireBytes
-		if params.BatchItems < 1 {
-			params.BatchItems = 1
-		}
 	}
 	if params.Costs == (CPUCosts{}) {
 		params.Costs = DefaultCPUCosts()

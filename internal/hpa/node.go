@@ -56,6 +56,11 @@ const (
 	largeWireBytesPerKB = 16 // per large itemset in gather payloads (k items + count)
 )
 
+// blockItems is how many probes fill one message block of blockSize bytes.
+func blockItems(blockSize int) int {
+	return max(1, (blockSize-blockHeaderBytes)/probeItemWireBytes)
+}
+
 // localCount is a pass-1 gather payload.
 type localCount struct {
 	Items  []itemset.Item
@@ -276,19 +281,18 @@ func (a *appNode) resetPager() {
 // return the pass to replay from. Successive losses during the resync
 // itself loop back into another round.
 func (a *appNode) recover(p transport.Proc, k int, cause error) (int, error) {
-	rec := a.env.Recovery
 	rv, _ := a.env.Links[a.id].(transport.Reviver)
 	var pl *transport.PeerLostError
-	if rec == nil || rv == nil || !errors.As(cause, &pl) {
+	if rv == nil || !errors.As(cause, &pl) {
 		return 0, cause
 	}
 	coord := a.env.Coords[a.id]
 	for {
 		a.recoveries++
-		if a.recoveries > rec.maxRecoveries() {
-			return 0, fmt.Errorf("hpa: node %d exceeded %d recoveries: %w", a.id, rec.maxRecoveries(), cause)
+		if a.recoveries > a.env.RestartLimit {
+			return 0, fmt.Errorf("hpa: node %d exceeded %d recoveries: %w", a.id, a.env.RestartLimit, cause)
 		}
-		if err := rv.WaitRejoin(pl.Rank, rec.rejoinWait()); err != nil {
+		if err := rv.WaitRejoin(pl.Rank, rejoinWait); err != nil {
 			return 0, fmt.Errorf("hpa: node %d recovery: %w (recovering from: %v)", a.id, err, cause)
 		}
 		a.gen++
@@ -609,7 +613,7 @@ func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) err
 	ep := a.env.Links[a.id]
 	n := a.env.Layout.AppNodes
 	gen := a.gen
-	batch := a.params.BatchItems
+	batch := blockItems(ep.BlockSize())
 	blocks := make([]dataBlock, n)
 	var sendErr error
 	flush := func(dest int) {

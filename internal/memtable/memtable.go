@@ -139,7 +139,6 @@ type Config struct {
 	RandSeed   int64        // seed for the Random eviction policy
 	ProbeCost  sim.Duration // CPU per probe (search + compare)
 	InsertCost sim.Duration // CPU per insert (alloc + link)
-	EntryBytes int64        // accounting size per entry (default 24)
 
 	// Rec, when non-nil, receives KEviction/KPagefault/KUpdate events
 	// attributed to Node. A nil Rec costs one pointer comparison per event
@@ -213,9 +212,6 @@ func New(cfg Config, pager Pager) (*Table, error) {
 	}
 	if cfg.LimitBytes > 0 && pager == nil {
 		return nil, errors.New("memtable: memory limit set but no pager attached")
-	}
-	if cfg.EntryBytes == 0 {
-		cfg.EntryBytes = EntryMemBytes
 	}
 	t := &Table{
 		cfg: cfg, dir: make([]int32, cfg.Lines), pager: pager,
@@ -418,7 +414,7 @@ func (t *Table) fault(p transport.Proc, i int32, l *line) error {
 	}
 	l.state = stateResident
 	l.flat = flatFromEntries(entries)
-	l.bytes = int64(len(entries)) * t.cfg.EntryBytes
+	l.bytes = int64(len(entries)) * EntryMemBytes
 	t.resident += l.bytes
 	t.outLines--
 	t.lruPushFront(i)
@@ -457,8 +453,8 @@ func (t *Table) Insert(p transport.Proc, lineID int, key []byte) error {
 	}
 	p.Work(t.cfg.InsertCost)
 	l.flat.Insert(key)
-	l.bytes += t.cfg.EntryBytes
-	t.resident += t.cfg.EntryBytes
+	l.bytes += EntryMemBytes
+	t.resident += EntryMemBytes
 	t.stats.Inserts++
 	t.notePeak()
 	if t.cfg.LimitBytes == 0 {
@@ -567,7 +563,7 @@ func (t *Table) admit(i int, entries []Entry) {
 	}
 	l.state = stateResident
 	l.flat = flatFromEntries(entries)
-	l.bytes = int64(len(entries)) * t.cfg.EntryBytes
+	l.bytes = int64(len(entries)) * EntryMemBytes
 	t.resident += l.bytes
 	t.outLines--
 	t.lruPushFront(int32(i))

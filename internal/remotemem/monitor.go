@@ -23,27 +23,24 @@ type Monitor struct {
 	stop     bool
 	reports  uint64
 
-	// SampleCPU is the compute cost of one sample on the memory-available
-	// node — the paper's `netstat -k` is a forked external command, which is
-	// why §5.4 finds that intervals "shorter than 1sec" degrade the system:
-	// the sampling steals CPU from the swap-service process. It contends on
-	// the node CPU when the monitor process is bound to one.
-	SampleCPU sim.Duration
-
 	// Rec, when non-nil, receives one KReport event and a free_bytes gauge
 	// point per broadcast round.
 	Rec *trace.Recorder
 }
+
+// sampleCPU is the compute cost of one sample on the memory-available node.
+// The paper's `netstat -k` is a forked external command, which is why §5.4
+// finds that intervals "shorter than 1sec" degrade the system: the sampling
+// steals CPU from the swap-service process. It contends on the node CPU when
+// the monitor process is bound to one.
+const sampleCPU = 40 * sim.Millisecond
 
 // NewMonitor creates a monitor for the given store over its endpoint.
 func NewMonitor(ep transport.Endpoint, layout cluster.Layout, store *Store, interval sim.Duration) *Monitor {
 	if interval <= 0 {
 		panic("remotemem: monitor interval must be positive")
 	}
-	return &Monitor{
-		store: store, ep: ep, layout: layout, interval: interval,
-		SampleCPU: 40 * sim.Millisecond,
-	}
+	return &Monitor{store: store, ep: ep, layout: layout, interval: interval}
 }
 
 // Reports returns how many broadcast rounds have run.
@@ -59,7 +56,7 @@ func (m *Monitor) Run(p transport.Proc) {
 		if m.stop {
 			return
 		}
-		p.Work(m.SampleCPU) // the `netstat -k` sample
+		p.Work(sampleCPU) // the `netstat -k` sample
 		report := MemReport{Node: m.store.Node(), FreeBytes: m.store.FreeBytes()}
 		if m.Rec != nil {
 			m.Rec.Gauge(p.Now(), m.store.Node(), "free_bytes", float64(report.FreeBytes))

@@ -177,7 +177,7 @@ func TestMonitorReportsUpdateAvailability(t *testing.T) {
 		}
 	})
 	r.k.Run()
-	// Each round costs interval + SampleCPU (the netstat fork), so 500 ms
+	// Each round costs interval + sampleCPU (the netstat fork), so 500 ms
 	// fits ≥3 rounds at a 100 ms interval.
 	if r.mons[0].Reports() < 3 {
 		t.Errorf("monitor broadcast only %d rounds", r.mons[0].Reports())

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -41,25 +40,21 @@ type Reviver interface {
 }
 
 // MeshOptions configures the optional liveness layer of a TCPMesh.
-// A zero Heartbeat leaves liveness off and the mesh behaves exactly as the
-// PR-8 transport did: a dead peer hangs its collectives.
+// A zero Heartbeat leaves liveness off: no heartbeats are sent, no peer is
+// ever declared dead, and a dead peer hangs its collectives.
 type MeshOptions struct {
-	BlockSize   int
-	Heartbeat   time.Duration // heartbeat period; 0 disables liveness
-	PeerTimeout time.Duration // silence threshold; default 8*Heartbeat
-	Ctx         context.Context
+	// Heartbeat is the heartbeat period; 0 disables liveness. A peer silent
+	// for 8 periods is declared dead.
+	Heartbeat time.Duration
 	// OnPeerLost fires once per directly observed death (conn reset or
 	// heartbeat timeout) from a mesh-internal goroutine. The supervisor
 	// hangs its respawn logic here.
 	OnPeerLost func(rank int, cause error)
 }
 
-func (o MeshOptions) peerTimeout() time.Duration {
-	if o.PeerTimeout > 0 {
-		return o.PeerTimeout
-	}
-	return 8 * o.Heartbeat
-}
+// peerTimeoutBeats is how many heartbeat periods of silence declare a peer
+// dead.
+const peerTimeoutBeats = 8
 
 // initLiveness arms the per-peer liveness state; called before bootstrap.
 func (m *TCPMesh) initLiveness(o MeshOptions) {
@@ -77,15 +72,6 @@ func (m *TCPMesh) initLiveness(o MeshOptions) {
 	now := time.Now().UnixNano()
 	for i := range m.lastHeard {
 		m.lastHeard[i].Store(now)
-	}
-	if o.Ctx != nil {
-		go func() {
-			select {
-			case <-o.Ctx.Done():
-				m.Close()
-			case <-m.closed:
-			}
-		}()
 	}
 }
 
@@ -105,7 +91,7 @@ func (m *TCPMesh) startLiveness() {
 func (m *TCPMesh) heartbeatLoop() {
 	tick := time.NewTicker(m.opts.Heartbeat)
 	defer tick.Stop()
-	limit := m.opts.peerTimeout()
+	limit := peerTimeoutBeats * m.opts.Heartbeat
 	for {
 		select {
 		case <-m.closed:
@@ -324,7 +310,7 @@ func RejoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) 
 	if o.Heartbeat <= 0 {
 		return nil, errors.New("transport: rejoin requires liveness (MeshOptions.Heartbeat)")
 	}
-	m := newMesh(self, n, o.BlockSize)
+	m := newMesh(self, n)
 	m.initLiveness(o)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

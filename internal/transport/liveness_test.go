@@ -10,7 +10,7 @@ import (
 // liveOpts arms a fast liveness layer for tests: 20ms heartbeats, dead after
 // 8×20ms = 160ms of silence.
 func liveOpts() MeshOptions {
-	return MeshOptions{BlockSize: 4096, Heartbeat: 20 * time.Millisecond}
+	return MeshOptions{Heartbeat: 20 * time.Millisecond}
 }
 
 func closeAll(meshes []*TCPMesh) {
@@ -27,7 +27,7 @@ func closeAll(meshes []*TCPMesh) {
 // liveness layer this scenario hung forever (the survivors blocked in Recv on
 // the dead rank's contribution).
 func TestGatherAllSurfacesPeerLossTimely(t *testing.T) {
-	meshes, err := LoopbackMeshesOpts(3, liveOpts())
+	meshes, err := LoopbackMeshes(3, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHeartbeatTimeoutDetectsSilentPeer(t *testing.T) {
 	opts := liveOpts()
 	opts.OnPeerLost = func(rank int, cause error) { lost <- rank }
 
-	m0, err := ListenMeshOpts(2, "127.0.0.1:0", opts)
+	m0, err := ListenMesh(2, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHeartbeatTimeoutDetectsSilentPeer(t *testing.T) {
 		defer close(done)
 		// Node 1 joins WITHOUT liveness: it never sends heartbeats, so from
 		// node 0's side it is a live socket that has gone completely silent.
-		m1, joinErr = JoinMesh(1, 2, m0.Addr(), 4096)
+		m1, joinErr = JoinMesh(1, 2, m0.Addr(), MeshOptions{})
 	}()
 	if err := m0.Join(); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestHeartbeatTimeoutDetectsSilentPeer(t *testing.T) {
 // clear the dead marks with WaitRejoin, and prove traffic flows both ways
 // between the survivors and the replacement.
 func TestRejoinRestoresTraffic(t *testing.T) {
-	meshes, err := LoopbackMeshesOpts(3, liveOpts())
+	meshes, err := LoopbackMeshes(3, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func waitDead(t *testing.T, m *TCPMesh, rank int) {
 // TestWaitRejoinTimesOut: with nobody reviving the rank, WaitRejoin gives up
 // at its deadline instead of blocking forever.
 func TestWaitRejoinTimesOut(t *testing.T) {
-	meshes, err := LoopbackMeshesOpts(2, liveOpts())
+	meshes, err := LoopbackMeshes(2, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestWaitRejoinTimesOut(t *testing.T) {
 // dropped and counted; future-generation traffic is buffered until SetGen
 // catches up, then consumed normally.
 func TestCoordinatorGenerationFilter(t *testing.T) {
-	meshes, err := LoopbackMeshes(2, 4096)
+	meshes, err := LoopbackMeshes(2, MeshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCoordinatorGenerationFilter(t *testing.T) {
 // TestSetGenPrunesBufferedStalePayloads: payloads already buffered in pending
 // when the generation advances are discarded, not replayed.
 func TestSetGenPrunesBufferedStalePayloads(t *testing.T) {
-	meshes, err := LoopbackMeshes(2, 4096)
+	meshes, err := LoopbackMeshes(2, MeshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSetGenPrunesBufferedStalePayloads(t *testing.T) {
 // bookkeeping of a pass is only durable once every node passed its final
 // barrier.
 func TestResyncPicksMinimumVote(t *testing.T) {
-	meshes, err := LoopbackMeshes(3, 4096)
+	meshes, err := LoopbackMeshes(3, MeshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,9 @@ var ErrMeshClosed = errors.New("transport: mesh closed")
 // meshJoinTimeout bounds the whole bootstrap (registration + dialing).
 const meshJoinTimeout = 30 * time.Second
 
+// meshBlockSize is the modeled message block size, the paper's 4 KB.
+const meshBlockSize = 4096
+
 // meshReadBuffer is the kernel receive buffer of an inbound data edge. A
 // sender can ship a whole pass's blocks faster than the peer's read loop is
 // scheduled. With Linux's autotuned start (128 KB, half of it advertised) the
@@ -123,9 +126,8 @@ type meshConn struct {
 // it, receive the full address table, and then every node dials every peer
 // once for its outbound edge.
 type TCPMesh struct {
-	self, n   int
-	blockSize int
-	start     time.Time
+	self, n int
+	start   time.Time
 
 	ln     net.Listener
 	inbox  sync.Map // port int -> *meshInbox
@@ -159,16 +161,11 @@ type TCPMesh struct {
 // starts accepting registrations in the background. Addr() is valid
 // immediately (so child processes can be pointed at it); Join completes the
 // bootstrap.
-func ListenMesh(n int, listen string, blockSize int) (*TCPMesh, error) {
-	return ListenMeshOpts(n, listen, MeshOptions{BlockSize: blockSize})
-}
-
-// ListenMeshOpts is ListenMesh with full mesh options (liveness layer).
-func ListenMeshOpts(n int, listen string, o MeshOptions) (*TCPMesh, error) {
+func ListenMesh(n int, listen string, o MeshOptions) (*TCPMesh, error) {
 	if n < 1 {
 		return nil, errors.New("transport: mesh needs at least one node")
 	}
-	m := newMesh(0, n, o.BlockSize)
+	m := newMesh(0, n)
 	m.initLiveness(o)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -217,16 +214,11 @@ func (m *TCPMesh) Join() error {
 // JoinMesh bootstraps node self (> 0) of an n-node mesh: bind a listener,
 // register it with the rendezvous at coordAddr, receive the address table,
 // and dial every peer's data edge.
-func JoinMesh(self, n int, coordAddr string, blockSize int) (*TCPMesh, error) {
-	return JoinMeshOpts(self, n, coordAddr, MeshOptions{BlockSize: blockSize})
-}
-
-// JoinMeshOpts is JoinMesh with full mesh options (liveness layer).
-func JoinMeshOpts(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
+func JoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
 	if self < 1 || self >= n {
 		return nil, fmt.Errorf("transport: mesh node %d of %d must join via ListenMesh or be in [1,%d)", self, n, n)
 	}
-	m := newMesh(self, n, o.BlockSize)
+	m := newMesh(self, n)
 	m.initLiveness(o)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -276,15 +268,10 @@ func JoinMeshOpts(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error
 
 // LoopbackMeshes bootstraps a complete in-process n-node mesh on loopback
 // and returns one endpoint per node (tests and the fidelity experiment).
-func LoopbackMeshes(n, blockSize int) ([]*TCPMesh, error) {
-	return LoopbackMeshesOpts(n, MeshOptions{BlockSize: blockSize})
-}
-
-// LoopbackMeshesOpts is LoopbackMeshes with full mesh options. The options
-// are shared by every node except OnPeerLost, which only node 0 receives
-// (it is the supervisor's hook).
-func LoopbackMeshesOpts(n int, o MeshOptions) ([]*TCPMesh, error) {
-	m0, err := ListenMeshOpts(n, "127.0.0.1:0", o)
+// The options are shared by every node except OnPeerLost, which only node 0
+// receives (it is the supervisor's hook).
+func LoopbackMeshes(n int, o MeshOptions) ([]*TCPMesh, error) {
+	m0, err := ListenMesh(n, "127.0.0.1:0", o)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +285,7 @@ func LoopbackMeshesOpts(n int, o MeshOptions) ([]*TCPMesh, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			meshes[i], errs[i] = JoinMeshOpts(i, n, m0.Addr(), peerOpts)
+			meshes[i], errs[i] = JoinMesh(i, n, m0.Addr(), peerOpts)
 		}(i)
 	}
 	errs[0] = m0.Join()
@@ -316,17 +303,13 @@ func LoopbackMeshesOpts(n int, o MeshOptions) ([]*TCPMesh, error) {
 	return meshes, nil
 }
 
-func newMesh(self, n, blockSize int) *TCPMesh {
-	if blockSize <= 0 {
-		blockSize = 4096
-	}
+func newMesh(self, n int) *TCPMesh {
 	return &TCPMesh{
-		self:      self,
-		n:         n,
-		blockSize: blockSize,
-		start:     time.Now(),
-		peers:     make([]*meshConn, n),
-		closed:    make(chan struct{}),
+		self:   self,
+		n:      n,
+		start:  time.Now(),
+		peers:  make([]*meshConn, n),
+		closed: make(chan struct{}),
 	}
 }
 
@@ -484,8 +467,10 @@ func (m *TCPMesh) Self() int { return m.self }
 // Nodes returns the mesh size.
 func (m *TCPMesh) Nodes() int { return m.n }
 
-// BlockSize returns the modeled message block size (batching granularity).
-func (m *TCPMesh) BlockSize() int { return m.blockSize }
+// BlockSize returns the modeled message block size (batching granularity):
+// the simulated fabric's paper value, so TCP and simulated runs batch and
+// account their traffic alike.
+func (m *TCPMesh) BlockSize() int { return meshBlockSize }
 
 // Now returns wall time elapsed since the mesh was created.
 func (m *TCPMesh) Now() sim.Time { return sim.Time(time.Since(m.start)) }

@@ -55,7 +55,7 @@ func simHarness(t *testing.T, n int) *harness {
 
 func tcpHarness(t *testing.T, n int) *harness {
 	t.Helper()
-	meshes, err := LoopbackMeshes(n, 4096)
+	meshes, err := LoopbackMeshes(n, MeshOptions{})
 	if err != nil {
 		t.Fatalf("loopback meshes: %v", err)
 	}
@@ -397,7 +397,7 @@ func TestConsecutiveCollectivesWithSkew(t *testing.T) {
 }
 
 func TestMeshCloseUnblocksReceivers(t *testing.T) {
-	meshes, err := LoopbackMeshes(2, 4096)
+	meshes, err := LoopbackMeshes(2, MeshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestMeshMultiProcessJoin(t *testing.T) {
 	// Exercise the real rendezvous path (ListenMesh + JoinMesh) rather than
 	// the LoopbackMeshes helper: three "processes" join through node 0.
 	const n = 3
-	root, err := ListenMesh(n, "127.0.0.1:0", 4096)
+	root, err := ListenMesh(n, "127.0.0.1:0", MeshOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestMeshMultiProcessJoin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			meshes[i], errs[i] = JoinMesh(i, n, addr, 4096)
+			meshes[i], errs[i] = JoinMesh(i, n, addr, MeshOptions{})
 		}()
 	}
 	if err := root.Join(); err != nil {
