@@ -554,10 +554,3 @@ func writeLargeOut(path string, lines []string) error {
 	sort.Strings(lines)
 	return os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -19,10 +19,12 @@
 //     lines, no lost one-way updates, no duplications from retries — and
 //     teardown leaves no goroutines or file descriptors behind.
 //
-// The soak exercises the full hardened stack the TCP fleet runs: the rmtp
-// client's deadlines, jittered retries, retry budget, and circuit breaker;
-// the server's lease-then-delete fetches, capacity NACKs, and overload
-// protection; and remotemem.TCPPager's windowed store-outs, shadow copies,
+// The soak exercises the stack the TCP fleet runs: the rmtp client's
+// deadlines and jittered retries (RunSoak's default ClientOptions arm no
+// retry budget and no circuit breaker); the server's lease-then-delete
+// fetches and, under a small ServerCapacity, its capacity NACKs (its overload
+// protection is off unless SoakConfig.ServerOptions arm it); and
+// remotemem.TCPPager's windowed store-outs, shadow copies,
 // connection-epoch verification and failover to its disk tier, a spill file
 // (memtable.FilePager). A schedule step can be traced (trace.KChaos),
 // stamping the operation counter in place of virtual time.

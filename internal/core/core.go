@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/disk"
 	"repro/internal/hpa"
 	"repro/internal/itemset"
@@ -223,7 +222,7 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 	if len(parts) != cfg.AppNodes {
 		return nil, fmt.Errorf("core: %d partitions for %d nodes", len(parts), cfg.AppNodes)
 	}
-	layout := cluster.Layout{AppNodes: cfg.AppNodes, MemNodes: cfg.MemNodes}
+	layout := transport.Layout{AppNodes: cfg.AppNodes, MemNodes: cfg.MemNodes}
 	k := sim.NewKernel()
 	nw := simnet.New(k, cfg.Net, layout.Total())
 	if cfg.Trace != nil {
@@ -255,13 +254,15 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 
 	// The transport veneer: one endpoint per node over the simulated fabric,
 	// one barrier/gather coordinator per application node.
+	sims := make([]*transport.SimEndpoint, layout.Total())
 	eps := make([]transport.Endpoint, layout.Total())
 	for i := range eps {
-		eps[i] = transport.NewSimEndpoint(nw, i)
+		sims[i] = transport.NewSimEndpoint(nw, i)
+		eps[i] = sims[i]
 	}
 	coords := make([]*transport.Coordinator, cfg.AppNodes)
 	for i := range coords {
-		coords[i] = transport.NewCoordinator(eps[i], cfg.AppNodes, cluster.PortCtrl)
+		coords[i] = transport.NewCoordinator(eps[i], cfg.AppNodes, transport.PortCtrl)
 	}
 	spawn := transport.NewSimSpawner(k, cpus)
 
@@ -282,11 +283,11 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 	var fallbacks []*memtable.FallbackPager
 
 	for _, id := range layout.MemIDs() {
-		st := remotemem.NewStore(eps[id], cfg.StoreCapacity, cfg.RemoteCosts)
+		st := remotemem.NewStore(sims[id], cfg.StoreCapacity, cfg.RemoteCosts)
 		st.Rec = cfg.Trace
 		stores = append(stores, st)
 		k.Go(fmt.Sprintf("store-%d", id), func(p *sim.Proc) { st.Run(p) }).BindCPU(cpus[id])
-		mon := remotemem.NewMonitor(eps[id], layout, st, cfg.MonitorInterval)
+		mon := remotemem.NewMonitor(sims[id], layout, st, cfg.MonitorInterval)
 		mon.Rec = cfg.Trace
 		monitors = append(monitors, mon)
 		k.Go(fmt.Sprintf("monitor-%d", id), func(p *sim.Proc) { mon.Run(p) }).BindCPU(cpus[id])
@@ -305,7 +306,7 @@ func Run(cfg Config, parts [][]itemset.Itemset) (*RunInfo, error) {
 			clients = make([]*remotemem.Client, cfg.AppNodes)
 			env.Clients = clients
 			for i := 0; i < cfg.AppNodes; i++ {
-				cl := remotemem.NewClient(eps[i], layout)
+				cl := remotemem.NewClient(sims[i], layout)
 				cl.DeadAfter = cfg.DeadAfter
 				cl.FetchTimeout = cfg.FetchTimeout
 				cl.FetchRetries = cfg.FetchRetries

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/hpa"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
@@ -257,12 +256,12 @@ func RunTCP(cfg TCPConfig, parts [][]itemset.Itemset) (*TCPRunInfo, error) {
 		}
 	}()
 
-	layout := cluster.Layout{AppNodes: cfg.AppNodes, MemNodes: 0}
+	layout := transport.Layout{AppNodes: cfg.AppNodes, MemNodes: 0}
 	eps := make([]transport.Endpoint, cfg.AppNodes)
 	coords := make([]*transport.Coordinator, cfg.AppNodes)
 	for _, id := range local {
 		eps[id] = meshes[id]
-		coords[id] = transport.NewCoordinator(meshes[id], cfg.AppNodes, cluster.PortCtrl)
+		coords[id] = transport.NewCoordinator(meshes[id], cfg.AppNodes, transport.PortCtrl)
 	}
 
 	pagers := make([]memtable.Pager, cfg.AppNodes)

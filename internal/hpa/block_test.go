@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -18,7 +16,7 @@ import (
 // {5,6}.
 func blockFixture(t testing.TB) (*appNode, *memtable.Table) {
 	t.Helper()
-	a := &appNode{id: 1, env: Env{Layout: cluster.Layout{AppNodes: 2}}, params: Params{TotalLines: 64}}
+	a := &appNode{id: 1, env: Env{Layout: transport.Layout{AppNodes: 2}}, params: Params{TotalLines: 64}}
 	table, err := memtable.New(memtable.Config{Lines: a.localLines()}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +132,7 @@ type sinkEndpoint struct {
 }
 
 func (e *sinkEndpoint) Self() int      { return 0 }
-func (e *sinkEndpoint) Nodes() int     { return 2 }
 func (e *sinkEndpoint) BlockSize() int { return 4096 }
-func (e *sinkEndpoint) Now() sim.Time  { return 0 }
 
 func (e *sinkEndpoint) Send(p transport.Proc, to, port int, payload any, size int) error {
 	switch m := payload.(type) {
@@ -153,10 +149,6 @@ func (e *sinkEndpoint) Recv(transport.Proc, int) (transport.Message, error) {
 	return transport.Message{}, errors.New("sink endpoint: nothing to receive")
 }
 
-func (e *sinkEndpoint) RecvTimeout(transport.Proc, int, sim.Duration) (transport.Message, bool, error) {
-	return transport.Message{}, false, errors.New("sink endpoint: nothing to receive")
-}
-
 // TestPass2SenderAllocatesPerBlock checks that the pass-2 sender writes keys
 // into its blocks: its allocations grow with the blocks it ships, not with
 // the probes in them.
@@ -164,7 +156,7 @@ func TestPass2SenderAllocatesPerBlock(t *testing.T) {
 	ep := &sinkEndpoint{}
 	a := &appNode{
 		id:     0,
-		env:    Env{Layout: cluster.Layout{AppNodes: 2}, Links: []transport.Endpoint{ep, nil}},
+		env:    Env{Layout: transport.Layout{AppNodes: 2}, Links: []transport.Endpoint{ep, nil}},
 		params: Params{TotalLines: 1000, Costs: DefaultCPUCosts()},
 	}
 	var txns []itemset.Itemset

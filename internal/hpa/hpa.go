@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/apriori"
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
 	"repro/internal/remotemem"
@@ -119,7 +118,7 @@ type Env struct {
 	// Spawn starts node processes (kernel processes bound to node CPUs on
 	// the simulated backend, goroutines on TCP).
 	Spawn  transport.Spawner
-	Layout cluster.Layout
+	Layout transport.Layout
 	// Links[id] is application node id's fabric endpoint. Indices outside
 	// Local may be nil in a multi-process run.
 	Links []transport.Endpoint

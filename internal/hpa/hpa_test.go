@@ -4,9 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cluster"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
+	"repro/internal/transport"
 )
 
 func TestLineMappingInvariants(t *testing.T) {
@@ -14,7 +14,7 @@ func TestLineMappingInvariants(t *testing.T) {
 	// dense, and localLines sums to TotalLines.
 	for _, nodes := range []int{1, 2, 3, 7, 8} {
 		for _, total := range []int{1, 5, 100, 801} {
-			layout := cluster.Layout{AppNodes: nodes}
+			layout := transport.Layout{AppNodes: nodes}
 			params := Params{TotalLines: total}
 			sum := 0
 			nodesArr := make([]*appNode, nodes)
@@ -42,7 +42,7 @@ func TestLineMappingInvariants(t *testing.T) {
 
 func TestLineMappingBijective(t *testing.T) {
 	// (owner, local) pairs must be unique across lines.
-	layout := cluster.Layout{AppNodes: 5}
+	layout := transport.Layout{AppNodes: 5}
 	a := &appNode{id: 0, env: Env{Layout: layout}, params: Params{TotalLines: 997}}
 	seen := map[[2]int]bool{}
 	for line := int32(0); line < 997; line++ {
@@ -124,7 +124,7 @@ func TestCandidateCacheSharedAcrossNodes(t *testing.T) {
 }
 
 func TestStartValidation(t *testing.T) {
-	env := Env{Layout: cluster.Layout{AppNodes: 2}}
+	env := Env{Layout: transport.Layout{AppNodes: 2}}
 	if _, err := Start(env, Params{MinSupport: 0.1, TotalLines: 10}); err == nil {
 		t.Error("missing transactions accepted")
 	}

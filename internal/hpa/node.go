@@ -10,7 +10,6 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/chaos"
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/itemset"
 	"repro/internal/memtable"
 	"repro/internal/sim"
@@ -627,7 +626,7 @@ func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) err
 		// The next block to dest gets fresh buffers: this one may be
 		// delivered by reference.
 		blocks[dest] = dataBlock{}
-		sendErr = ep.Send(p, dest, cluster.PortData, blk,
+		sendErr = ep.Send(p, dest, transport.PortData, blk,
 			blockHeaderBytes+len(blk.Lines)*probeItemWireBytes)
 	}
 	emit := func(line int32, s itemset.Itemset) {
@@ -675,7 +674,7 @@ func (a *appNode) runSender(p transport.Proc, k int, txns []itemset.Itemset) err
 		if sendErr != nil {
 			return sendErr
 		}
-		if err := ep.Send(p, dest, cluster.PortData, dataDone{From: a.id, Gen: gen}, blockHeaderBytes); err != nil {
+		if err := ep.Send(p, dest, transport.PortData, dataDone{From: a.id, Gen: gen}, blockHeaderBytes); err != nil {
 			return err
 		}
 	}
@@ -691,7 +690,7 @@ func (a *appNode) runReceiver(p transport.Proc, k int, table *memtable.Table) er
 	ep := a.env.Links[a.id]
 	remaining := a.env.Layout.AppNodes
 	for remaining > 0 {
-		m, err := ep.Recv(p, cluster.PortData)
+		m, err := ep.Recv(p, transport.PortData)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/transport"
 )
 
@@ -35,7 +34,7 @@ func TestRecoverHonoursRestartLimit(t *testing.T) {
 		return &appNode{
 			id: 0,
 			env: Env{
-				Layout:       cluster.Layout{AppNodes: 2},
+				Layout:       transport.Layout{AppNodes: 2},
 				Links:        []transport.Endpoint{ep, nil},
 				Coords:       make([]*transport.Coordinator, 2),
 				RestartLimit: limit,

@@ -3,7 +3,6 @@ package remotemem
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -28,8 +27,8 @@ const (
 // withdraws its memory.
 type Client struct {
 	node   int
-	ep     transport.Endpoint
-	layout cluster.Layout
+	ep     *transport.SimEndpoint
+	layout transport.Layout
 	avail  *AvailTable
 	table  *memtable.Table // attached after table construction
 
@@ -90,7 +89,7 @@ type Client struct {
 }
 
 // NewClient creates a client for the application node bound to ep.
-func NewClient(ep transport.Endpoint, layout cluster.Layout) *Client {
+func NewClient(ep *transport.SimEndpoint, layout transport.Layout) *Client {
 	return &Client{
 		node:                 ep.Self(),
 		ep:                   ep,
@@ -220,7 +219,7 @@ func (c *Client) StoreOut(p transport.Proc, line int, entries []memtable.Entry) 
 		return memtable.Location{}, fmt.Errorf(
 			"remotemem: node %d: no memory-available node can hold %d bytes", c.node, need)
 	}
-	if err := c.ep.Send(p, dest, cluster.PortMem,
+	if err := c.ep.Send(p, dest, transport.PortMem,
 		StoreMsg{Owner: c.node, Line: line, Entries: entries},
 		lineWireBytes(c.ep.BlockSize(), len(entries))); err != nil {
 		return memtable.Location{}, fmt.Errorf("remotemem: node %d: store-out of line %d: %w", c.node, line, err)
@@ -274,7 +273,7 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 			}
 		}
 		c.fetchSeq++
-		if err := c.ep.Send(p, target, cluster.PortMem,
+		if err := c.ep.Send(p, target, transport.PortMem,
 			FetchReq{Owner: c.node, Line: line, Seq: c.fetchSeq}, reqWireBytes); err != nil {
 			return nil, fmt.Errorf("remotemem: node %d: fetch of line %d: %w", c.node, line, err)
 		}
@@ -292,7 +291,7 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 				}
 				got := false
 				var err error
-				m, got, err = c.ep.RecvTimeout(p, cluster.PortMemReply, remaining)
+				m, got, err = c.ep.RecvTimeout(p, transport.PortMemReply, remaining)
 				if err != nil {
 					return nil, fmt.Errorf("remotemem: node %d: fetch of line %d: %w", c.node, line, err)
 				}
@@ -302,7 +301,7 @@ func (c *Client) FetchIn(p transport.Proc, line int, loc memtable.Location) ([]m
 				}
 			} else {
 				var err error
-				m, err = c.ep.Recv(p, cluster.PortMemReply)
+				m, err = c.ep.Recv(p, transport.PortMemReply)
 				if err != nil {
 					return nil, fmt.Errorf("remotemem: node %d: fetch of line %d: %w", c.node, line, err)
 				}
@@ -391,7 +390,7 @@ func (c *Client) Update(p transport.Proc, line int, loc memtable.Location, key s
 	if pl != nil && pl.tainted {
 		return nil // remote copy already stale; the shadow is authoritative
 	}
-	return c.ep.Send(p, loc.Node, cluster.PortMem,
+	return c.ep.Send(p, loc.Node, transport.PortMem,
 		UpdateMsg{Owner: c.node, Line: line, Key: key}, updateWireBytes)
 }
 
@@ -408,7 +407,7 @@ func (c *Client) Stop() { c.stopped = true }
 // sends migration directions for this node's lines held there.
 func (c *Client) RunMonitor(p transport.Proc) {
 	for !c.stopped {
-		m, err := c.ep.Recv(p, cluster.PortMon)
+		m, err := c.ep.Recv(p, transport.PortMon)
 		if err != nil {
 			return // fabric torn down
 		}
@@ -514,7 +513,7 @@ func (c *Client) handleReport(p transport.Proc, msg MemReport) {
 			if n > chunk {
 				n = chunk
 			}
-			if err := c.ep.Send(p, msg.Node, cluster.PortMem,
+			if err := c.ep.Send(p, msg.Node, transport.PortMem,
 				MigrateCmd{Owner: c.node, Lines: batch[:n], Dest: d},
 				migrateCmdWireBytes(n)); err != nil {
 				c.logf("remotemem: node %d: migrate direction to store %d failed: %v",

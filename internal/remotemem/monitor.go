@@ -3,7 +3,6 @@ package remotemem
 import (
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -17,8 +16,8 @@ import (
 // heavy for application execution nodes").
 type Monitor struct {
 	store    *Store
-	ep       transport.Endpoint
-	layout   cluster.Layout
+	ep       *transport.SimEndpoint
+	layout   transport.Layout
 	interval sim.Duration
 	stop     bool
 	reports  uint64
@@ -36,7 +35,7 @@ type Monitor struct {
 const sampleCPU = 40 * sim.Millisecond
 
 // NewMonitor creates a monitor for the given store over its endpoint.
-func NewMonitor(ep transport.Endpoint, layout cluster.Layout, store *Store, interval sim.Duration) *Monitor {
+func NewMonitor(ep *transport.SimEndpoint, layout transport.Layout, store *Store, interval sim.Duration) *Monitor {
 	if interval <= 0 {
 		panic("remotemem: monitor interval must be positive")
 	}
@@ -68,7 +67,7 @@ func (m *Monitor) Run(p transport.Proc) {
 			}
 		}
 		for _, app := range m.layout.AppIDs() {
-			if err := m.ep.Send(p, app, cluster.PortMon, report, reportWireBytes); err != nil {
+			if err := m.ep.Send(p, app, transport.PortMon, report, reportWireBytes); err != nil {
 				return // fabric torn down
 			}
 		}

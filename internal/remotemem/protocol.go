@@ -5,9 +5,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Message payloads on cluster.PortMem (requests to a store) and
-// cluster.PortMemReply / cluster.PortMon (replies and notifications back to
-// application nodes).
+// Message payloads on transport.PortMem (requests to a store) and
+// transport.PortMemReply / transport.PortMon (replies and notifications back
+// to application nodes).
 
 // StoreMsg ships a hash line to a memory-available node (one-way; the
 // client records the placement immediately, relying on reliable transport

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/memtable"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -16,7 +15,7 @@ import (
 type rig struct {
 	k       *sim.Kernel
 	nw      *simnet.Network
-	layout  cluster.Layout
+	layout  transport.Layout
 	stores  []*Store
 	mons    []*Monitor
 	client  *Client
@@ -27,7 +26,7 @@ type rig struct {
 func newRig(t *testing.T, memNodes int, capacity int64, interval sim.Duration) *rig {
 	t.Helper()
 	k := sim.NewKernel()
-	layout := cluster.Layout{AppNodes: 1, MemNodes: memNodes}
+	layout := transport.Layout{AppNodes: 1, MemNodes: memNodes}
 	nw := simnet.New(k, simnet.PaperATM(), layout.Total())
 	costs := DefaultCosts()
 	r := &rig{k: k, nw: nw, layout: layout, costs: costs}
@@ -68,7 +67,7 @@ func TestStoreFetchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r.layout.IsApp(0) || r.layout.IsApp(loc.Node) {
+		if loc.Node < r.layout.AppNodes || loc.Node >= r.layout.Total() {
 			t.Errorf("stored at non-memory node %d", loc.Node)
 		}
 		p.Sleep(10 * sim.Millisecond) // let the one-way store land
@@ -372,5 +371,5 @@ func TestMonitorIntervalValidation(t *testing.T) {
 			t.Error("zero interval accepted")
 		}
 	}()
-	NewMonitor(nil, cluster.Layout{AppNodes: 1}, nil, 0)
+	NewMonitor(nil, transport.Layout{AppNodes: 1}, nil, 0)
 }

@@ -3,7 +3,6 @@ package remotemem
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -256,7 +255,7 @@ func TestRevivedStoreKeepsShadowAuthoritative(t *testing.T) {
 // is transparently forwarded to the destination store.
 func TestMigrateCmdRacingFetch(t *testing.T) {
 	k := sim.NewKernel()
-	layout := cluster.Layout{AppNodes: 1, MemNodes: 2}
+	layout := transport.Layout{AppNodes: 1, MemNodes: 2}
 	nw := simnet.New(k, simnet.PaperATM(), layout.Total())
 	m := layout.MemIDs()
 	src := NewStore(transport.NewSimEndpoint(nw, m[0]), 32<<20, DefaultCosts())
@@ -264,12 +263,12 @@ func TestMigrateCmdRacingFetch(t *testing.T) {
 	k.Go("src", func(p *sim.Proc) { src.Run(p) })
 	k.Go("dst", func(p *sim.Proc) { dst.Run(p) })
 
-	reply := nw.Inbox(0, cluster.PortMemReply)
-	done := nw.Inbox(0, cluster.PortMon)
+	reply := nw.Inbox(0, transport.PortMemReply)
+	done := nw.Inbox(0, transport.PortMon)
 	var doneLines []int
 	k.Go("app", func(p *sim.Proc) {
 		for line := 1; line <= 4; line++ {
-			nw.Send(p, 0, m[0], cluster.PortMem,
+			nw.Send(p, 0, m[0], transport.PortMem,
 				StoreMsg{Owner: 0, Line: line, Entries: entriesN(2, line)}, 4096)
 		}
 		p.Sleep(20 * sim.Millisecond)
@@ -277,12 +276,12 @@ func TestMigrateCmdRacingFetch(t *testing.T) {
 		// Fetch-before-migrate: the FetchReq for line 1 reaches the store
 		// ahead of the MigrateCmd listing it, so the store serves it and the
 		// migration skips it.
-		nw.Send(p, 0, m[0], cluster.PortMem, FetchReq{Owner: 0, Line: 1, Seq: 1}, reqWireBytes)
-		nw.Send(p, 0, m[0], cluster.PortMem,
+		nw.Send(p, 0, m[0], transport.PortMem, FetchReq{Owner: 0, Line: 1, Seq: 1}, reqWireBytes)
+		nw.Send(p, 0, m[0], transport.PortMem,
 			MigrateCmd{Owner: 0, Lines: []int{1, 2, 3, 4}, Dest: m[1]}, migrateCmdWireBytes(4))
 		// Fetch-after-migrate: line 3's FetchReq queues behind the
 		// MigrateCmd, finds the line moved, and is forwarded to dst.
-		nw.Send(p, 0, m[0], cluster.PortMem, FetchReq{Owner: 0, Line: 3, Seq: 2}, reqWireBytes)
+		nw.Send(p, 0, m[0], transport.PortMem, FetchReq{Owner: 0, Line: 3, Seq: 2}, reqWireBytes)
 
 		for got := 0; got < 2; got++ {
 			mres := reply.Recv(p)
@@ -335,15 +334,15 @@ func TestStrayMessagesLoggedNotFatal(t *testing.T) {
 	r.k.Go("app", func(p *sim.Proc) {
 		defer r.stopAll()
 		// Garbage to the store's request port and the client's monitor port.
-		r.nw.Send(p, 0, m[0], cluster.PortMem, "garbage", 64)
-		r.nw.Send(p, 0, 0, cluster.PortMon, 12345, 64)
+		r.nw.Send(p, 0, m[0], transport.PortMem, "garbage", 64)
+		r.nw.Send(p, 0, 0, transport.PortMon, 12345, 64)
 		loc, err := r.client.StoreOut(p, 4, entriesN(2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(10 * sim.Millisecond)
 		// Garbage on the reply port ahead of the real reply.
-		r.nw.Send(p, 0, 0, cluster.PortMemReply, 3.14, 64)
+		r.nw.Send(p, 0, 0, transport.PortMemReply, 3.14, 64)
 		got, err := r.client.FetchIn(p, 4, loc)
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package remotemem
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/memtable"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -20,7 +19,7 @@ type lineKey struct {
 // per node, as in the paper).
 type Store struct {
 	node  int
-	ep    transport.Endpoint
+	ep    *transport.SimEndpoint
 	costs Costs
 
 	capacity int64 // bytes of spare memory for swapped lines
@@ -43,7 +42,7 @@ type Store struct {
 
 // NewStore creates a store server on the node bound to ep with the given
 // spare capacity; call Run from a node process to serve.
-func NewStore(ep transport.Endpoint, capacity int64, costs Costs) *Store {
+func NewStore(ep *transport.SimEndpoint, capacity int64, costs Costs) *Store {
 	return &Store{
 		node:     ep.Self(),
 		ep:       ep,
@@ -89,7 +88,7 @@ func (s *Store) HeldLines() int { return len(s.lines) }
 // backend, until traffic stops).
 func (s *Store) Run(p transport.Proc) {
 	for {
-		m, err := s.ep.Recv(p, cluster.PortMem)
+		m, err := s.ep.Recv(p, transport.PortMem)
 		if err != nil {
 			return // fabric torn down
 		}
@@ -125,10 +124,10 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 				// Line migrated away; forward the request so the owner gets
 				// its reply from the new holder.
 				s.forwarded++
-				s.send(p, dest, cluster.PortMem, req, reqWireBytes)
+				s.send(p, dest, transport.PortMem, req, reqWireBytes)
 				return
 			}
-			s.send(p, req.Owner, cluster.PortMemReply,
+			s.send(p, req.Owner, transport.PortMemReply,
 				FetchReply{Line: req.Line, Seq: req.Seq, Err: fmt.Sprintf("line %d not held by node %d", req.Line, s.node)},
 				reqWireBytes)
 			return
@@ -143,7 +142,7 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 				Bytes: int64(len(entries)) * memtable.EntryMemBytes,
 			})
 		}
-		s.send(p, req.Owner, cluster.PortMemReply,
+		s.send(p, req.Owner, transport.PortMemReply,
 			FetchReply{Line: req.Line, Seq: req.Seq, Entries: entries},
 			lineWireBytes(s.ep.BlockSize(), len(entries)))
 
@@ -154,7 +153,7 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 		if !ok {
 			if dest, fwd := s.forward[key]; fwd {
 				s.forwarded++
-				s.send(p, dest, cluster.PortMem, req, updateWireBytes)
+				s.send(p, dest, transport.PortMem, req, updateWireBytes)
 			}
 			// A truly unknown line's update is dropped; the owner's state
 			// machine makes this unreachable in normal operation.
@@ -181,7 +180,7 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 			if len(batch.Lines) == 0 {
 				return
 			}
-			s.send(p, req.Dest, cluster.PortMem, batch, batchBytes)
+			s.send(p, req.Dest, transport.PortMem, batch, batchBytes)
 			batch = MigrateBatch{Owner: req.Owner}
 			batchBytes = memtable.LineWireHeader
 		}
@@ -206,7 +205,7 @@ func (s *Store) handle(p transport.Proc, m transport.Message) {
 			moved = append(moved, line)
 		}
 		flush()
-		s.send(p, req.Owner, cluster.PortMon,
+		s.send(p, req.Owner, transport.PortMon,
 			MigrateDone{From: s.node, Dest: req.Dest, Lines: moved}, doneWireBytes)
 
 	case MigrateBatch:

@@ -125,9 +125,6 @@ func (n *Network) Config() Config { return n.cfg }
 // timestamp outside a process context).
 func (n *Network) Now() sim.Time { return n.k.Now() }
 
-// Nodes returns the node count.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
 // Inbox returns (creating on first use) the delivery queue for a node/port.
 func (n *Network) Inbox(node, port int) *sim.Chan[Message] {
 	nd := n.nodes[node]

@@ -30,28 +30,10 @@ type gatherMsg struct {
 	Payload any
 }
 
-// resyncMsg is a node's vote for where the replay starts: its first
-// unfinished pass (a survivor votes the pass it was interrupted in, a node
-// restored from checkpoint votes checkpointed-pass+1).
-type resyncMsg struct {
-	Gen    int
-	From   int
-	Resume int
-}
-
-// resyncGo is node 0's resync decision: the pass the whole cluster replays
-// from under the new generation.
-type resyncGo struct {
-	Gen  int
-	Pass int
-}
-
 func init() {
 	gob.Register(barrierArrive{})
 	gob.Register(barrierRelease{})
 	gob.Register(gatherMsg{})
-	gob.Register(resyncMsg{})
-	gob.Register(resyncGo{})
 }
 
 const ctrlMsgBytes = 32
@@ -65,10 +47,6 @@ func ctrlGen(pl any) (int, bool) {
 		return v.Gen, true
 	case gatherMsg:
 		return v.Gen, true
-	case resyncMsg:
-		return v.Gen, true
-	case resyncGo:
-		return v.Gen, true
 	}
 	return 0, false
 }
@@ -76,7 +54,8 @@ func ctrlGen(pl any) (int, bool) {
 // Coordinator mediates barriers and gathers among the application nodes.
 // Node 0 acts as the central coordinator, as a designated process would on
 // the real cluster. All application nodes must call the same sequence of
-// Barrier/GatherAll operations with strictly increasing epochs; messages for
+// Barrier/GatherAll operations with strictly increasing epochs within a
+// generation (a generation's Resync comes first, at epoch -1); messages for
 // a later epoch arriving early (nodes run ahead) are buffered. One
 // Coordinator serves one node (its endpoint's Self) on one control port.
 type Coordinator struct {
@@ -225,54 +204,26 @@ func (c *Coordinator) GatherAll(p Proc, epoch int, payload any, size int) ([]any
 	return out, nil
 }
 
+// resyncEpoch is Resync's gather epoch. No pass uses it, and each
+// generation resyncs once, so it collides neither with a pass's collectives
+// nor with an earlier resync.
+const resyncEpoch = -1
+
 // Resync is the post-recovery rendezvous. Every node calls it after bumping
 // to the same generation with SetGen, voting its own first unfinished pass.
-// Node 0 collects the votes, picks the minimum (nobody's unfinished work may
-// be skipped — node 0's bookkeeping of a pass is only durable once every
-// node got past its final barrier), and broadcasts the pass the cluster
-// replays from. It returns that pass.
+// The votes are gathered all-to-all and every node returns their minimum,
+// floored at pass 1: nobody's unfinished work may be skipped (node 0's
+// bookkeeping of a pass is only durable once every node got past its final
+// barrier). Every node gathers the same votes, so every node returns the
+// same pass.
 func (c *Coordinator) Resync(p Proc, resume int) (int, error) {
-	n := c.n
-	self := c.ep.Self()
-	if n == 1 {
-		if resume < 1 {
-			resume = 1
-		}
-		return resume, nil
-	}
-	if self == 0 {
-		best := resume
-		for seen := 0; seen < n-1; seen++ {
-			pl, err := c.recvMatching(p, func(pl any) bool {
-				_, ok := pl.(resyncMsg)
-				return ok
-			})
-			if err != nil {
-				return 0, fmt.Errorf("transport: resync gen %d collect: %w", c.gen, err)
-			}
-			if v := pl.(resyncMsg).Resume; v < best {
-				best = v
-			}
-		}
-		if best < 1 {
-			best = 1
-		}
-		for to := 1; to < n; to++ {
-			if err := c.ep.Send(p, to, c.port, resyncGo{Gen: c.gen, Pass: best}, ctrlMsgBytes); err != nil {
-				return 0, fmt.Errorf("transport: resync gen %d go to %d: %w", c.gen, to, err)
-			}
-		}
-		return best, nil
-	}
-	if err := c.ep.Send(p, 0, c.port, resyncMsg{Gen: c.gen, From: self, Resume: resume}, ctrlMsgBytes); err != nil {
-		return 0, fmt.Errorf("transport: resync gen %d vote: %w", c.gen, err)
-	}
-	pl, err := c.recvMatching(p, func(pl any) bool {
-		_, ok := pl.(resyncGo)
-		return ok
-	})
+	votes, err := c.GatherAll(p, resyncEpoch, resume, ctrlMsgBytes)
 	if err != nil {
-		return 0, fmt.Errorf("transport: resync gen %d wait: %w", c.gen, err)
+		return 0, fmt.Errorf("transport: resync gen %d: %w", c.gen, err)
 	}
-	return pl.(resyncGo).Pass, nil
+	pass := resume
+	for _, v := range votes {
+		pass = min(pass, v.(int))
+	}
+	return max(1, pass), nil
 }

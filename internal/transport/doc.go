@@ -1,7 +1,13 @@
 // Package transport is the cluster communication abstraction the mining
 // layers program against: addressed send/receive with explicit wire-size
 // accounting, per-(node,port) inbox semantics, central-barrier and
-// all-to-all-gather coordination, and process spawning.
+// all-to-all-gather coordination (recovery's resync is one more gather),
+// and process spawning. It also holds the cluster's vocabulary: which nodes
+// run the application and which lend memory (Layout), and the well-known
+// ports every protocol runs over.
+//
+// Endpoint carries only what the backend-agnostic layers call: Self,
+// BlockSize, Send and Recv.
 //
 // Two backends implement it:
 //
@@ -17,7 +23,8 @@
 //     per-node traffic counters so sim and TCP runs stay comparable.
 //
 // The remote-memory store/fetch/update/migrate surface stays a
-// memtable.Pager; remotemem.Client implements it over an Endpoint (simnet)
-// and remotemem.TCPPager implements it over an rmtp server fleet, so the
-// unchanged HPA pipeline mines against either.
+// memtable.Pager; remotemem.Client implements it over a SimEndpoint (whose
+// virtual clock and bounded receive it also uses) and remotemem.TCPPager
+// over an rmtp server fleet, so the unchanged HPA pipeline mines against
+// either.
 package transport

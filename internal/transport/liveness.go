@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 )
@@ -270,14 +268,9 @@ func (m *TCPMesh) processRejoin(rank int, addr string) error {
 	if !m.live || rank == m.self || rank < 0 || rank >= m.n {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, meshJoinTimeout)
+	pc, err := m.dialEdge(rank, addr)
 	if err != nil {
-		return fmt.Errorf("transport: mesh redial peer %d at %s: %w", rank, addr, err)
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(meshHello{Kind: helloData, From: m.self}); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: mesh rejoin hello to peer %d: %w", rank, err)
+		return err
 	}
 	m.lmu.Lock()
 	if m.deadErr[rank] == nil {
@@ -285,7 +278,7 @@ func (m *TCPMesh) processRejoin(rank int, addr string) error {
 		m.deadSeq[rank] = m.rejoinSeq[rank]
 	}
 	old := m.peers[rank]
-	m.peers[rank] = &meshConn{conn: conn, enc: enc}
+	m.peers[rank] = pc
 	m.rejoinSeq[rank]++
 	m.bumpLiveLocked()
 	m.lmu.Unlock()
@@ -310,57 +303,5 @@ func RejoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) 
 	if o.Heartbeat <= 0 {
 		return nil, errors.New("transport: rejoin requires liveness (MeshOptions.Heartbeat)")
 	}
-	m := newMesh(self, n)
-	m.initLiveness(o)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	m.ln = ln
-	go m.acceptLoop()
-
-	var conn net.Conn
-	deadline := time.Now().Add(meshJoinTimeout)
-	for {
-		conn, err = net.DialTimeout("tcp", coordAddr, time.Second)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			m.Close()
-			return nil, fmt.Errorf("transport: mesh rendezvous %s unreachable: %w", coordAddr, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	conn.SetDeadline(time.Now().Add(meshJoinTimeout))
-	if err := gob.NewEncoder(conn).Encode(meshHello{Kind: helloRejoin, From: self, Addr: ln.Addr().String()}); err != nil {
-		conn.Close()
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh rejoin register: %w", err)
-	}
-	var table meshTable
-	if err := gob.NewDecoder(conn).Decode(&table); err != nil {
-		conn.Close()
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh rejoin table receive: %w", err)
-	}
-	conn.Close()
-	if len(table.Addrs) != n {
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh table has %d addresses, want %d", len(table.Addrs), n)
-	}
-	for j, addr := range table.Addrs {
-		if j == self {
-			continue
-		}
-		if err := m.dialPeer(j, addr); err != nil {
-			if j == 0 {
-				m.Close()
-				return nil, err
-			}
-			m.markDead(j, err, false)
-		}
-	}
-	m.startLiveness()
-	return m, nil
+	return joinVia(helloRejoin, self, n, coordAddr, o)
 }

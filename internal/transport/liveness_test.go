@@ -2,7 +2,7 @@ package transport
 
 import (
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -298,36 +298,37 @@ func TestSetGenPrunesBufferedStalePayloads(t *testing.T) {
 }
 
 // TestResyncPicksMinimumVote: the cluster replays from the MINIMUM voted
-// pass — nobody's unfinished work may be skipped, because node 0's
-// bookkeeping of a pass is only durable once every node passed its final
-// barrier.
+// pass, floored at pass 1 — nobody's unfinished work may be skipped, because
+// node 0's bookkeeping of a pass is only durable once every node passed its
+// final barrier. Every node must return the same pass.
 func TestResyncPicksMinimumVote(t *testing.T) {
-	meshes, err := LoopbackMeshes(3, MeshOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeAll(meshes)
-
-	votes := []int{4, 2, 6}
-	got := make([]int, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for node := 0; node < 3; node++ {
-		node := node
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := NewCoordinator(meshes[node], 3, 1)
-			got[node], errs[node] = c.Resync(NewRealProc(), votes[node])
-		}()
-	}
-	wg.Wait()
-	for node := 0; node < 3; node++ {
-		if errs[node] != nil {
-			t.Fatalf("node %d: %v", node, errs[node])
-		}
-		if got[node] != 2 {
-			t.Errorf("node %d resynced to pass %d, want the minimum vote 2", node, got[node])
-		}
+	for _, tc := range []struct {
+		votes []int
+		want  int
+	}{
+		{[]int{4, 2, 6}, 2},
+		{[]int{3, 0, 5}, 1},
+		{[]int{0}, 1},
+		{[]int{7}, 7},
+	} {
+		n := len(tc.votes)
+		t.Run(fmt.Sprint(tc.votes), func(t *testing.T) {
+			eachBackend(t, n, func(t *testing.T, h *harness) {
+				got := make([]int, n)
+				err := h.run(t, func(p Proc, node int) error {
+					var err error
+					got[node], err = NewCoordinator(h.eps[node], n, 1).Resync(p, tc.votes[node])
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for node, pass := range got {
+					if pass != tc.want {
+						t.Errorf("node %d resynced to pass %d, want %d", node, pass, tc.want)
+					}
+				}
+			})
+		})
 	}
 }

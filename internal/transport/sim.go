@@ -36,13 +36,11 @@ func simProc(p Proc) *sim.Proc {
 // Self returns the bound node id.
 func (e *SimEndpoint) Self() int { return e.node }
 
-// Nodes returns the simulated cluster size.
-func (e *SimEndpoint) Nodes() int { return e.nw.Nodes() }
-
 // BlockSize returns the simulated fabric's message block size.
 func (e *SimEndpoint) BlockSize() int { return e.nw.Config().BlockSize }
 
-// Now returns the kernel's virtual time.
+// Now returns the kernel's virtual time (for components outside a Proc
+// context).
 func (e *SimEndpoint) Now() sim.Time { return e.nw.Now() }
 
 // Send transmits over the simulated network; it never errors (faults are
@@ -58,7 +56,8 @@ func (e *SimEndpoint) Recv(p Proc, port int) (Message, error) {
 	return Message(m), nil
 }
 
-// RecvTimeout blocks on the node/port inbox with a virtual-time deadline.
+// RecvTimeout blocks on the node/port inbox with a virtual-time deadline; ok
+// is false on timeout. A non-positive d degenerates to Recv.
 func (e *SimEndpoint) RecvTimeout(p Proc, port int, d sim.Duration) (Message, bool, error) {
 	m, ok := e.nw.Inbox(e.node, port).RecvTimeout(simProc(p), d)
 	return Message(m), ok, nil

@@ -204,7 +204,7 @@ func (m *TCPMesh) Join() error {
 		}
 		c.Close()
 	}
-	if err := m.dialPeers(table.Addrs); err != nil {
+	if err := m.dialPeers(table.Addrs, false); err != nil {
 		return err
 	}
 	m.startLiveness()
@@ -218,6 +218,14 @@ func JoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
 	if self < 1 || self >= n {
 		return nil, fmt.Errorf("transport: mesh node %d of %d must join via ListenMesh or be in [1,%d)", self, n, n)
 	}
+	return joinVia(helloReg, self, n, coordAddr, o)
+}
+
+// joinVia is the rendezvous handshake of a node other than 0, announcing
+// itself with the given hello kind (helloReg or helloRejoin): bind a fresh
+// listener, send its address to the rendezvous at coordAddr (retrying while
+// the rendezvous boots), receive the address table, and dial every peer.
+func joinVia(kind, self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
 	m := newMesh(self, n)
 	m.initLiveness(o)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -226,8 +234,11 @@ func JoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
 	}
 	m.ln = ln
 	go m.acceptLoop()
+	fail := func(err error) (*TCPMesh, error) {
+		m.Close()
+		return nil, err
+	}
 
-	// Register with the rendezvous, retrying while it boots.
 	var conn net.Conn
 	deadline := time.Now().Add(meshJoinTimeout)
 	for {
@@ -236,31 +247,25 @@ func JoinMesh(self, n int, coordAddr string, o MeshOptions) (*TCPMesh, error) {
 			break
 		}
 		if time.Now().After(deadline) {
-			m.Close()
-			return nil, fmt.Errorf("transport: mesh rendezvous %s unreachable: %w", coordAddr, err)
+			return fail(fmt.Errorf("transport: mesh rendezvous %s unreachable: %w", coordAddr, err))
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	conn.SetDeadline(time.Now().Add(meshJoinTimeout))
-	if err := gob.NewEncoder(conn).Encode(meshHello{Kind: helloReg, From: self, Addr: ln.Addr().String()}); err != nil {
-		conn.Close()
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh register: %w", err)
-	}
 	var table meshTable
-	if err := gob.NewDecoder(conn).Decode(&table); err != nil {
-		conn.Close()
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh table receive: %w", err)
+	err = gob.NewEncoder(conn).Encode(meshHello{Kind: kind, From: self, Addr: m.Addr()})
+	if err == nil {
+		err = gob.NewDecoder(conn).Decode(&table)
 	}
 	conn.Close()
-	if len(table.Addrs) != n {
-		m.Close()
-		return nil, fmt.Errorf("transport: mesh table has %d addresses, want %d", len(table.Addrs), n)
+	if err != nil {
+		return fail(fmt.Errorf("transport: mesh registration with %s: %w", coordAddr, err))
 	}
-	if err := m.dialPeers(table.Addrs); err != nil {
-		m.Close()
-		return nil, err
+	if len(table.Addrs) != n {
+		return fail(fmt.Errorf("transport: mesh table has %d addresses, want %d", len(table.Addrs), n))
+	}
+	if err := m.dialPeers(table.Addrs, kind == helloRejoin); err != nil {
+		return fail(err)
 	}
 	m.startLiveness()
 	return m, nil
@@ -316,34 +321,42 @@ func newMesh(self, n int) *TCPMesh {
 // Addr returns this node's listener address (node 0's is the rendezvous).
 func (m *TCPMesh) Addr() string { return m.ln.Addr().String() }
 
-// dialPeers opens this node's outbound edge to every peer.
-func (m *TCPMesh) dialPeers(addrs []string) error {
+// dialPeers opens this node's outbound edge to every peer. A rejoining rank
+// dead-marks an unreachable peer other than node 0 (it may itself be
+// mid-restart) instead of failing.
+func (m *TCPMesh) dialPeers(addrs []string, rejoin bool) error {
 	for j, addr := range addrs {
 		if j == m.self {
 			continue
 		}
-		if err := m.dialPeer(j, addr); err != nil {
-			return err
+		pc, err := m.dialEdge(j, addr)
+		if err != nil {
+			if !rejoin || j == 0 {
+				return err
+			}
+			m.markDead(j, err, false)
+			continue
 		}
+		m.lmu.Lock()
+		m.peers[j] = pc
+		m.lmu.Unlock()
 	}
 	return nil
 }
 
-// dialPeer opens the outbound edge to one peer.
-func (m *TCPMesh) dialPeer(j int, addr string) error {
+// dialEdge opens an outbound data edge to peer j at addr; the caller
+// installs it.
+func (m *TCPMesh) dialEdge(j int, addr string) (*meshConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, meshJoinTimeout)
 	if err != nil {
-		return fmt.Errorf("transport: mesh dial peer %d at %s: %w", j, addr, err)
+		return nil, fmt.Errorf("transport: mesh dial peer %d at %s: %w", j, addr, err)
 	}
 	enc := gob.NewEncoder(conn)
 	if err := enc.Encode(meshHello{Kind: helloData, From: m.self}); err != nil {
 		conn.Close()
-		return fmt.Errorf("transport: mesh hello to peer %d: %w", j, err)
+		return nil, fmt.Errorf("transport: mesh hello to peer %d: %w", j, err)
 	}
-	m.lmu.Lock()
-	m.peers[j] = &meshConn{conn: conn, enc: enc}
-	m.lmu.Unlock()
-	return nil
+	return &meshConn{conn: conn, enc: enc}, nil
 }
 
 // acceptLoop serves inbound connections: registrations (node 0's rendezvous
@@ -464,9 +477,6 @@ func (m *TCPMesh) inboxFor(port int) *meshInbox {
 // Self returns the bound node id.
 func (m *TCPMesh) Self() int { return m.self }
 
-// Nodes returns the mesh size.
-func (m *TCPMesh) Nodes() int { return m.n }
-
 // BlockSize returns the modeled message block size (batching granularity):
 // the simulated fabric's paper value, so TCP and simulated runs batch and
 // account their traffic alike.
@@ -547,37 +557,6 @@ func (m *TCPMesh) Recv(p Proc, port int) (Message, error) {
 				return msg, nil
 			}
 			return Message{}, ErrMeshClosed
-		}
-	}
-}
-
-// RecvTimeout is Recv bounded by a wall-clock deadline.
-func (m *TCPMesh) RecvTimeout(p Proc, port int, d sim.Duration) (Message, bool, error) {
-	if d <= 0 {
-		msg, err := m.Recv(p, port)
-		return msg, err == nil, err
-	}
-	b := m.inboxFor(port)
-	timer := time.NewTimer(time.Duration(d))
-	defer timer.Stop()
-	for {
-		if msg, ok := b.pop(); ok {
-			return msg, true, nil
-		}
-		liveCh, dead := m.liveState()
-		if dead != nil {
-			return Message{}, false, dead
-		}
-		select {
-		case <-b.notify:
-		case <-liveCh:
-		case <-timer.C:
-			return Message{}, false, nil
-		case <-m.closed:
-			if msg, ok := b.pop(); ok {
-				return msg, true, nil
-			}
-			return Message{}, false, ErrMeshClosed
 		}
 	}
 }

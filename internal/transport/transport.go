@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -38,22 +40,15 @@ type Message struct {
 type Endpoint interface {
 	// Self returns the node id this endpoint is bound to.
 	Self() int
-	// Nodes returns the cluster's total node count.
-	Nodes() int
 	// BlockSize returns the fabric's message block size in bytes (drives
 	// batching and line wire-size accounting).
 	BlockSize() int
-	// Now returns the fabric clock (for components outside a Proc context).
-	Now() sim.Time
 	// Send transmits payload of the given modeled wire size from Self to
 	// node `to` on `port`. The simulated backend blocks the caller for NIC
 	// occupancy and never errors; the TCP backend errors on a broken mesh.
 	Send(p Proc, to, port int, payload any, size int) error
 	// Recv blocks until a message arrives on the port's inbox.
 	Recv(p Proc, port int) (Message, error)
-	// RecvTimeout is Recv bounded by d; ok is false on timeout. A
-	// non-positive d degenerates to Recv.
-	RecvTimeout(p Proc, port int, d sim.Duration) (m Message, ok bool, err error)
 }
 
 // Handle tracks a spawned process.
@@ -78,4 +73,59 @@ type Spawner interface {
 type FabricStats interface {
 	Messages() uint64
 	Bytes() uint64
+}
+
+// Well-known ports.
+const (
+	// PortData carries HPA candidate/counting itemset blocks.
+	PortData = iota
+	// PortCtrl carries barrier and large-itemset exchange traffic.
+	PortCtrl
+	// PortMem carries store/fetch/update/migrate requests to memory-available
+	// node stores.
+	PortMem
+	// PortMemReply carries fetch replies back to application nodes.
+	PortMemReply
+	// PortMon carries memory-availability reports and migration completion
+	// notices to application nodes.
+	PortMon
+)
+
+// Layout assigns roles to the PC cluster's nodes: the first AppNodes ids run
+// the application, the next MemNodes ids are memory-available nodes.
+type Layout struct {
+	AppNodes int
+	MemNodes int
+}
+
+// Validate reports the first invalid field.
+func (l Layout) Validate() error {
+	if l.AppNodes < 1 {
+		return fmt.Errorf("transport: need at least one application node")
+	}
+	if l.MemNodes < 0 {
+		return fmt.Errorf("transport: negative memory node count")
+	}
+	return nil
+}
+
+// Total returns the total node count.
+func (l Layout) Total() int { return l.AppNodes + l.MemNodes }
+
+// AppIDs returns the application node ids (0..AppNodes-1).
+func (l Layout) AppIDs() []int {
+	ids := make([]int, l.AppNodes)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// MemIDs returns the memory-available node ids.
+func (l Layout) MemIDs() []int {
+	ids := make([]int, l.MemNodes)
+	for i := range ids {
+		ids[i] = l.AppNodes + i
+	}
+	return ids
 }

@@ -229,12 +229,17 @@ func TestWireAccountingUsesModeledSize(t *testing.T) {
 	})
 }
 
+// TestRecvTimeoutExpiresAndDelivers covers the simulated endpoint only:
+// RecvTimeout serves the simulator's remote-memory client, and the TCP mesh
+// has no bounded receive.
 func TestRecvTimeoutExpiresAndDelivers(t *testing.T) {
-	eachBackend(t, 2, func(t *testing.T, h *harness) {
+	t.Run("sim", func(t *testing.T) {
+		h := simHarness(t, 2)
+		ep := h.eps[0].(*SimEndpoint)
 		err := h.run(t, func(p Proc, node int) error {
 			if node == 0 {
 				// Expire first: nothing has been sent on port 7.
-				_, ok, err := h.eps[0].RecvTimeout(p, 7, 10*sim.Millisecond)
+				_, ok, err := ep.RecvTimeout(p, 7, 10*sim.Millisecond)
 				if err != nil {
 					return err
 				}
@@ -242,7 +247,7 @@ func TestRecvTimeoutExpiresAndDelivers(t *testing.T) {
 					return fmt.Errorf("timeout recv on empty port returned a message")
 				}
 				// Then deliver: node 1 sends after our first timeout.
-				m, ok, err := h.eps[0].RecvTimeout(p, 7, 10*sim.Second)
+				m, ok, err := ep.RecvTimeout(p, 7, 10*sim.Second)
 				if err != nil {
 					return err
 				}
@@ -494,5 +499,27 @@ func TestMeshMultiProcessJoin(t *testing.T) {
 	case err := <-fail:
 		t.Fatal(err)
 	default:
+	}
+}
+
+func TestLayout(t *testing.T) {
+	l := Layout{AppNodes: 3, MemNodes: 2}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Total() != 5 {
+		t.Errorf("Total = %d", l.Total())
+	}
+	if got := l.AppIDs(); len(got) != 3 || got[2] != 2 {
+		t.Errorf("AppIDs = %v", got)
+	}
+	if got := l.MemIDs(); len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Errorf("MemIDs = %v", got)
+	}
+	if (Layout{AppNodes: 0}).Validate() == nil {
+		t.Error("zero app nodes accepted")
+	}
+	if (Layout{AppNodes: 1, MemNodes: -1}).Validate() == nil {
+		t.Error("negative mem nodes accepted")
 	}
 }
