@@ -56,3 +56,7 @@ func BenchmarkCheckpointPass(b *testing.B) { perf.BenchCheckpointPass(b) }
 // One fleet node's unlimited pass-2 hash table: New with 400,000 lines,
 // build, then probe every candidate.
 func BenchmarkMemtableBuildProbe(b *testing.B) { perf.BenchMemtableBuildProbe(b) }
+
+// The pass-2 candidate join of the fleet-deep problem: 1,101 frequent items
+// into 605,550 packed candidates.
+func BenchmarkCandidateGen(b *testing.B) { perf.BenchCandidateGen(b) }

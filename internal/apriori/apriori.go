@@ -130,18 +130,18 @@ func Mine(txns []itemset.Itemset, cfg Config) (*Result, error) {
 			break
 		}
 		cands := itemset.AprioriGen(res.Large[k-1])
-		if len(cands) == 0 {
+		if cands.Len() == 0 {
 			res.Passes = append(res.Passes, PassStats{K: k})
 			break
 		}
 		var large []itemset.Itemset
 		var counts map[string]int
 		if cfg.Counting == HashTree {
-			large, counts = countHashTree(txns, cands, k, minCount)
+			large, counts = countHashTree(txns, cands.Itemsets(), k, minCount)
 		} else {
-			large, counts = countFlat(txns, cands, k, minCount)
+			large, counts = countFlat(txns, cands, minCount)
 		}
-		res.Passes = append(res.Passes, PassStats{K: k, Candidates: len(cands), Large: len(large)})
+		res.Passes = append(res.Passes, PassStats{K: k, Candidates: cands.Len(), Large: len(large)})
 		res.Large = append(res.Large, large)
 		for key, c := range counts {
 			res.Support[key] = c
@@ -169,8 +169,8 @@ func countHashTree(txns, cands []itemset.Itemset, k, minCount int) ([]itemset.It
 	return tree.Frequent(minCount)
 }
 
-func countFlat(txns, cands []itemset.Itemset, k, minCount int) ([]itemset.Itemset, map[string]int) {
-	tab := candtab.New(k, cands)
+func countFlat(txns []itemset.Itemset, cands itemset.Packed, minCount int) ([]itemset.Itemset, map[string]int) {
+	tab := candtab.New(cands)
 	for _, t := range txns {
 		tab.CountTransaction(t)
 	}

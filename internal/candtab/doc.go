@@ -1,44 +1,19 @@
-// Package candtab implements the flat, cache-friendly candidate table at the
-// heart of the pass-2 counting kernel.
+// Package candtab implements the flat candidate table at the heart of the
+// sequential counting kernel.
 //
-// The legacy kernel (internal/htree, and the []memtable.Entry line
-// representation the HPA nodes probe) chases pointers: tree nodes, per-entry
-// heap objects, and linear scans over string-keyed slices. candtab replaces
-// both with one structure-of-arrays layout per hash line:
+// The legacy kernel (internal/htree) chases pointers: tree nodes, per-entry
+// heap objects and linear scans over string-keyed slices. Table replaces it
+// with an open-addressing index (candidate ids plus one-byte fingerprints,
+// linear probing, at most 3/4 full) over the packed candidate keys that
+// itemset.AprioriGen produces, and one int32 count per candidate. The keys
+// are indexed where they lie, so the pass's candidates exist once, and a
+// probe neither allocates nor follows a pointer. internal/apriori counts
+// with it by default; CountTransaction enumerates the k-subsets of each
+// transaction into a reusable scratch key buffer and probes each.
 //
-//   - an append-only byte arena holding every candidate key back to back,
-//   - parallel ends/counts arrays locating each entry's key and support, and
-//   - an open-addressing slot index (entry ids + one-byte fingerprints,
-//     linear probing, ≤3/4 load) for O(1) probes.
+// Duplicate candidates keep the legacy list semantics: each has its count,
+// but only the first occurrence is indexed, so probes increment the first.
 //
-// A probe computes a fixed-seed FNV-1a hash, walks contiguous slot/fingerprint
-// arrays, and touches the arena only on a fingerprint hit — no allocation, no
-// pointer chasing. Entries preserve insertion order, so a Line converts to
-// and from the pager's []Entry wire representation byte-identically and the
-// paging/eviction machinery of internal/memtable is unchanged.
-//
-// The slot index is built lazily: Insert only appends to the entry arrays,
-// and the first probe after an insert indexes the whole backlog in one bulk
-// pass. Apriori passes are build-then-count, so this turns per-insert
-// incremental rehashing into a single allocation at the final size — and a
-// line that is faulted in and evicted without ever being probed never builds
-// an index at all.
-//
-// Two consumers build on Line:
-//
-//   - Table: the sequential pass-k kernel (drop-in for htree.Tree) used by
-//     internal/apriori. It enumerates the k-subsets of each transaction into
-//     a reusable scratch key buffer and probes with AddBytes.
-//   - internal/memtable: each resident line's entries are held as a Line, so
-//     the distributed HPA probe path (hpa/node.go → memtable.Probe) hits the
-//     same flat layout.
-//
-// Duplicate keys follow the legacy list semantics: they are stored as
-// separate entries, but only the first occurrence is indexed, so probes
-// always increment the first match — exactly what the old linear scan did.
-//
-// Determinism: the hash is fixed-seed (never hash/maphash), because
-// identically-seeded runs must produce byte-identical golden traces; a
-// per-process seed would reorder nothing semantically but everything
-// observably.
+// Determinism: the hash is fixed-seed FNV-1a (never hash/maphash), because
+// identically-seeded runs must produce byte-identical golden traces.
 package candtab

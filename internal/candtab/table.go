@@ -1,54 +1,102 @@
 package candtab
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"repro/internal/itemset"
 )
 
-// Table is a sequential pass-k counting kernel over one flat Line: the
-// drop-in replacement for htree.Tree in the non-partitioned miner. All
-// candidates live in a single Line; CountTransaction enumerates the k-subsets
-// of a transaction into a reusable scratch key buffer and probes the line
-// with zero allocations.
+// Table is the sequential pass-k counting kernel: the drop-in replacement
+// for htree.Tree in the non-partitioned miner. It indexes the packed
+// candidate keys in place with open addressing and keeps one count per
+// candidate beside them:
+//
+//	keys   []byte  candidate i's key is keys[s·i : s·(i+1)], s = 4·k
+//	counts []int32 candidate i's support count
+//	slots  []int32 open-addressing index: hash slot -> 1 + candidate, 0 empty
+//	fps    []byte  per-slot fingerprint (top hash byte), probe short-circuit
+//
+// A probe hashes the key (itemset.HashKey, fixed-seed FNV-1a), walks the contiguous slot and
+// fingerprint arrays, and reads a key only on a fingerprint match.
 type Table struct {
 	k       int
-	line    *Line
+	keys    []byte
+	counts  []int32
+	slots   []int32
+	fps     []byte
+	mask    uint32
 	scratch []byte // k*4-byte canonical key under construction
 	idx     []int  // combination indices for general k
 }
 
-// New builds a table over the candidate itemsets, which must all have size
-// k ≥ 1 and be canonical.
-func New(k int, candidates []itemset.Itemset) *Table {
+// New builds a table over packed candidates (itemset.AprioriGen's output),
+// canonical k-itemsets with k ≥ 1. The table indexes the packed keys in
+// place: they are not copied, and the table never writes to them. The index
+// is sized once, at most 3/4 full. A key that occurs twice is indexed at
+// its first occurrence, which alone is counted.
+func New(cands itemset.Packed) *Table {
+	k := cands.K
 	if k < 1 {
 		panic("candtab: k must be >= 1")
 	}
+	n := 8
+	for n*3 < cands.Len()*4 {
+		n <<= 1
+	}
 	t := &Table{
 		k:       k,
-		line:    NewLine(len(candidates)),
+		keys:    cands.Keys,
+		counts:  make([]int32, cands.Len()),
+		slots:   make([]int32, n),
+		fps:     make([]byte, n),
+		mask:    uint32(n - 1),
 		scratch: make([]byte, itemset.KeyLen(k)),
 		idx:     make([]int, k),
 	}
-	for _, c := range candidates {
-		if len(c) != k {
-			panic("candtab: candidate size mismatch")
+	for id := range t.counts {
+		if i, fp, found := t.lookup(t.key(int32(id))); !found {
+			t.slots[i], t.fps[i] = int32(id)+1, fp
 		}
-		t.line.Insert(itemset.AppendKey(t.scratch[:0], c))
 	}
 	return t
 }
 
-// Len returns the number of candidates stored.
-func (t *Table) Len() int { return t.line.Len() }
+// key returns candidate id's key.
+func (t *Table) key(id int32) []byte {
+	s := itemset.KeyLen(t.k)
+	return t.keys[int(id)*s : int(id+1)*s]
+}
 
-// K returns the candidate size.
-func (t *Table) K() int { return t.k }
+// lookup returns the slot that indexes key, or else the empty slot where it
+// would go, with the key's fingerprint.
+func (t *Table) lookup(key []byte) (slot uint32, fp byte, found bool) {
+	h := itemset.HashKey(key)
+	fp = byte(h >> 56)
+	for i := uint32(h) & t.mask; ; i = (i + 1) & t.mask {
+		id := t.slots[i] - 1
+		if id < 0 {
+			return i, fp, false
+		}
+		if t.fps[i] == fp && string(t.key(id)) == string(key) { // no allocation
+			return i, fp, true
+		}
+	}
+}
+
+// add counts one occurrence of key if it is a candidate.
+func (t *Table) add(key []byte) {
+	if i, _, found := t.lookup(key); found {
+		t.counts[t.slots[i]-1]++
+	}
+}
 
 // Count returns the count of candidate c, or 0 if absent.
 func (t *Table) Count(c itemset.Itemset) int {
-	n, _ := t.line.Get(itemset.AppendKey(t.scratch[:0], c))
-	return int(n)
+	if i, _, found := t.lookup(itemset.AppendKey(t.scratch[:0], c)); found {
+		return int(t.counts[t.slots[i]-1])
+	}
+	return 0
 }
 
 // CountTransaction increments the count of every stored candidate that is a
@@ -63,10 +111,10 @@ func (t *Table) CountTransaction(txn itemset.Itemset) {
 		// Pass-2 fast path: the dominant pass. Write each pair key in place.
 		buf := t.scratch[:8]
 		for i := 0; i < len(txn)-1; i++ {
-			putItem(buf, txn[i])
+			binary.LittleEndian.PutUint32(buf, uint32(txn[i]))
 			for j := i + 1; j < len(txn); j++ {
-				putItem(buf[4:], txn[j])
-				t.line.AddBytes(buf, 1)
+				binary.LittleEndian.PutUint32(buf[4:], uint32(txn[j]))
+				t.add(buf)
 			}
 		}
 		return
@@ -75,10 +123,10 @@ func (t *Table) CountTransaction(txn itemset.Itemset) {
 	// scratch key that changed.
 	for i := range t.idx {
 		t.idx[i] = i
-		putItem(t.scratch[4*i:], txn[i])
+		binary.LittleEndian.PutUint32(t.scratch[4*i:], uint32(txn[i]))
 	}
 	for {
-		t.line.AddBytes(t.scratch, 1)
+		t.add(t.scratch)
 		// Advance to the next combination.
 		p := t.k - 1
 		for p >= 0 && t.idx[p] == len(txn)-t.k+p {
@@ -88,10 +136,10 @@ func (t *Table) CountTransaction(txn itemset.Itemset) {
 			return
 		}
 		t.idx[p]++
-		putItem(t.scratch[4*p:], txn[t.idx[p]])
+		binary.LittleEndian.PutUint32(t.scratch[4*p:], uint32(txn[t.idx[p]]))
 		for q := p + 1; q < t.k; q++ {
 			t.idx[q] = t.idx[q-1] + 1
-			putItem(t.scratch[4*q:], txn[t.idx[q]])
+			binary.LittleEndian.PutUint32(t.scratch[4*q:], uint32(txn[t.idx[q]]))
 		}
 	}
 }
@@ -102,11 +150,11 @@ func (t *Table) CountTransaction(txn itemset.Itemset) {
 func (t *Table) Frequent(minCount int) ([]itemset.Itemset, map[string]int) {
 	var large []itemset.Itemset
 	counts := make(map[string]int)
-	for id := 0; id < t.line.Len(); id++ {
-		if c := int(t.line.Count(id)); c >= minCount {
-			key := t.line.Key(id)
+	for id, c := range t.counts {
+		if int(c) >= minCount {
+			key := string(t.key(int32(id)))
 			large = append(large, itemset.FromKey(key))
-			counts[key] = c
+			counts[key] = int(c)
 		}
 	}
 	sort.Slice(large, func(i, j int) bool { return large[i].Less(large[j]) })

@@ -167,12 +167,12 @@ func computePartition(txns []itemset.Itemset, minSupport float64, totalLines, no
 	cands := itemset.AprioriGen(l1)
 	ps := partitionStats{
 		L1:         len(l1),
-		TotalC2:    len(cands),
+		TotalC2:    cands.Len(),
 		PerNode:    make([]int, nodes),
 		TotalLines: totalLines,
 	}
-	for _, c := range cands {
-		line := c.Hash() % uint64(totalLines)
+	for i := 0; i < cands.Len(); i++ {
+		line := itemset.HashKey(cands.Key(i)) % uint64(totalLines)
 		ps.PerNode[int(line)%nodes]++
 	}
 	for _, n := range ps.PerNode {

@@ -21,11 +21,11 @@
 // The receiver's hash table is a memtable.Table, so pass 2 — the pass that
 // dominates end-to-end time — runs under a memory-usage limit with
 // whichever pager (remote memory or disk) the environment supplies.
-// Resident lines are flat candtab.Line tables (open addressing over a key
-// arena, no per-entry allocations; DESIGN.md §10), so the receiver's probe
-// loop is cache-friendly even at paper-scale C2 while the pager boundary
-// still sees the plain []memtable.Entry representation, byte-identical to
-// the legacy layout. Under the remote-update policy, increments to
+// Each node builds its table from AprioriGen's packed keys with
+// memtable's two-sweep Build, so a resident line is
+// one range of key and count records in the table's arena (DESIGN.md §10),
+// while the pager boundary still sees the plain []memtable.Entry
+// representation, byte-identical to the legacy layout. Under the remote-update policy, increments to
 // pinned-remote lines leave the node as one-way update messages: one per
 // increment on the simulator (the paper's message), coalesced into
 // per-server batch frames by remotemem.TCPPager over real TCP.

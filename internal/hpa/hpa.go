@@ -1,6 +1,7 @@
 package hpa
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -65,23 +66,30 @@ func (h HashKind) String() string {
 
 // HashItemset applies the selected hash to a canonical itemset.
 func (h HashKind) HashItemset(s itemset.Itemset) uint64 {
+	var buf [32]byte // up to 8 items on the stack
+	return h.HashKey(itemset.AppendKey(buf[:0], s))
+}
+
+// HashKey applies the selected hash to the itemset whose key
+// (itemset.AppendKey's bytes) is key, without decoding it.
+func (h HashKind) HashKey(key []byte) uint64 {
 	if h == HashAdditive {
 		var v uint64
-		for _, it := range s {
-			v = v*8191 + uint64(uint32(it))
+		for i := 0; i < len(key); i += 4 {
+			v = v*8191 + uint64(binary.LittleEndian.Uint32(key[i:]))
 		}
 		return v
 	}
-	return s.Hash()
+	return itemset.HashKey(key)
 }
 
 // HashPairOf applies the selected hash to the 2-itemset {a,b}, a < b,
 // without allocating.
 func (h HashKind) HashPairOf(a, b itemset.Item) uint64 {
-	if h == HashAdditive {
-		return uint64(uint32(a))*8191 + uint64(uint32(b))
-	}
-	return itemset.HashPair(a, b)
+	var key [8]byte
+	binary.LittleEndian.PutUint32(key[:], uint32(a))
+	binary.LittleEndian.PutUint32(key[4:], uint32(b))
+	return h.HashKey(key[:])
 }
 
 // Params configures one HPA run.
@@ -251,17 +259,8 @@ type Pending struct {
 
 // passCandidates is the precomputed candidate set of one pass.
 type passCandidates struct {
-	sets []itemset.Itemset
-	// keys packs every candidate's canonical key back to back, stride
-	// (itemset.KeyLen(k)) bytes each, in sets order.
-	keys   []byte
-	stride int
-	lines  []int32
-}
-
-// key returns candidate i's canonical key, a view into the arena.
-func (pc *passCandidates) key(i int) []byte {
-	return pc.keys[i*pc.stride : (i+1)*pc.stride]
+	keys  itemset.Packed // AprioriGen's output, in lexicographic order
+	lines []int32        // candidate i's global hash line
 }
 
 // candidatesFor returns (computing on first request per pass) the candidate
@@ -273,16 +272,10 @@ func (pd *Pending) candidatesFor(k int, prevLarge []itemset.Itemset, totalLines 
 	if pd.candPass == k && pd.candCache != nil {
 		return pd.candCache
 	}
-	sets := itemset.AprioriGen(prevLarge)
-	pc := &passCandidates{
-		sets:   sets,
-		keys:   make([]byte, 0, itemset.KeyLen(k)*len(sets)),
-		stride: itemset.KeyLen(k),
-		lines:  make([]int32, len(sets)),
-	}
-	for i, c := range sets {
-		pc.keys = itemset.AppendKey(pc.keys, c)
-		pc.lines[i] = int32(pd.candHash.HashItemset(c) % uint64(totalLines))
+	keys := itemset.AprioriGen(prevLarge)
+	pc := &passCandidates{keys: keys, lines: make([]int32, keys.Len())}
+	for i := range pc.lines {
+		pc.lines[i] = int32(pd.candHash.HashKey(keys.Key(i)) % uint64(totalLines))
 	}
 	pd.candPass = k
 	pd.candCache = pc

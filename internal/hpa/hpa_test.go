@@ -106,18 +106,19 @@ func TestCandidateCacheSharedAcrossNodes(t *testing.T) {
 	if a != b {
 		t.Error("cache recomputed for same pass")
 	}
-	if len(a.sets) != 3 || len(a.keys) != 3*a.stride || a.stride != 8 || len(a.lines) != 3 {
-		t.Fatalf("candidates: %d sets", len(a.sets))
+	sets := a.keys.Itemsets()
+	if len(sets) != 3 || len(a.keys.Keys) != 3*8 || a.keys.K != 2 || len(a.lines) != 3 {
+		t.Fatalf("candidates: %d sets", len(sets))
 	}
-	for i, s := range a.sets {
-		if string(a.key(i)) != s.Key() {
+	for i, s := range sets {
+		if string(a.keys.Key(i)) != s.Key() {
 			t.Errorf("key %d mismatch", i)
 		}
 		if a.lines[i] != int32(s.Hash()%100) {
 			t.Errorf("line %d mismatch", i)
 		}
 	}
-	c := pd.candidatesFor(3, a.sets, 100)
+	c := pd.candidatesFor(3, sets, 100)
 	if c == b {
 		t.Error("cache not invalidated for new pass")
 	}
@@ -149,6 +150,9 @@ func TestHashKinds(t *testing.T) {
 	}
 	if HashAdditive.HashItemset(s) != HashAdditive.HashPairOf(3, 500) {
 		t.Error("additive pair fast path disagrees with itemset path")
+	}
+	if HashFNV.HashKey([]byte(s.Key())) != s.Hash() || HashAdditive.HashKey([]byte(s.Key())) != HashAdditive.HashItemset(s) {
+		t.Error("key hash disagrees with itemset hash")
 	}
 	if HashAdditive.HashItemset(s) != 3*8191+500 {
 		t.Errorf("additive hash = %d", HashAdditive.HashItemset(s))

@@ -454,9 +454,9 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 	// join is deterministic and identical across nodes, so the host
 	// computes it once; each node is still charged for the work.
 	pc := a.pd.candidatesFor(k, prevLarge, a.params.TotalLines)
-	cands := pc.sets
-	p.Work(sim.Duration(len(cands)) * costs.CandGen)
-	if len(cands) == 0 {
+	cands := pc.keys.Len()
+	p.Work(sim.Duration(cands) * costs.CandGen)
+	if cands == 0 {
 		if a.id == 0 {
 			res.Passes = append(res.Passes, apriori.PassStats{K: k})
 			res.PassTimes = append(res.PassTimes, p.Now().Sub(passStart))
@@ -496,20 +496,20 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 		return float64(table.Stats().OutLines)
 	})
 
-	mine := 0
-	for i := range cands {
-		line := pc.lines[i]
-		if a.ownerOf(line) != a.id {
-			continue
+	// The table takes this node's candidates, in order, from the pass's
+	// shared keys.
+	err = table.Build(p, len(pc.lines), func(i int) (int, []byte) {
+		if a.ownerOf(pc.lines[i]) != a.id {
+			return -1, nil
 		}
-		mine++
-		if err := table.Insert(p, a.localLine(line), pc.key(i)); err != nil {
-			return false, err
-		}
+		return a.localLine(pc.lines[i]), pc.keys.Key(i)
+	})
+	if err != nil {
+		return false, err
 	}
 	if k == 2 {
 		a.pd.res.PerNode[a.id].Node = a.id
-		a.pd.res.PerNode[a.id].CandidatesPass2 = mine
+		a.pd.res.PerNode[a.id].CandidatesPass2 = int(table.Stats().Inserts)
 	}
 
 	// All tables built before counting traffic starts.
@@ -574,7 +574,7 @@ func (a *appNode) runPass(p transport.Proc, k int) (bool, error) {
 	}
 	if a.id == 0 {
 		res.Large = append(res.Large, large)
-		res.Passes = append(res.Passes, apriori.PassStats{K: k, Candidates: len(cands), Large: len(large)})
+		res.Passes = append(res.Passes, apriori.PassStats{K: k, Candidates: cands, Large: len(large)})
 		for key, c := range supports {
 			res.Support[key] = c
 		}

@@ -26,5 +26,5 @@
 //
 // The paper's parallel algorithm uses neither structure directly: its
 // counting state is the hash lines of internal/memtable (partitioned
-// across nodes, backed per line by candtab.Line since the rewrite).
+// across nodes, each line a range of records in its table's one arena).
 package htree

@@ -1,24 +1,18 @@
 package itemset
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
-// Set is a collection of itemsets indexed by canonical key, used to hold a
-// pass's large itemsets for candidate pruning and membership checks.
+// Set is a collection of itemsets indexed by canonical key, for membership
+// checks.
 type Set struct {
 	m map[string]Itemset
 }
 
 // NewSet returns an empty Set.
 func NewSet() *Set { return &Set{m: make(map[string]Itemset)} }
-
-// SetOf builds a Set from the given itemsets.
-func SetOf(itemsets []Itemset) *Set {
-	s := NewSet()
-	for _, is := range itemsets {
-		s.Add(is)
-	}
-	return s
-}
 
 // Add inserts the itemset.
 func (s *Set) Add(is Itemset) { s.m[is.Key()] = is }
@@ -42,19 +36,42 @@ func (s *Set) Slice() []Itemset {
 // AprioriGen implements the classic Apriori candidate generation: join the
 // large (k-1)-itemsets with themselves on their first k-2 items, then prune
 // any candidate with a (k-1)-subset that is not large. The input must contain
-// only canonical itemsets all of size k-1; the output contains canonical
-// candidates of size k in lexicographic order.
-func AprioriGen(large []Itemset) []Itemset {
+// only canonical itemsets all of size k-1; the output holds canonical
+// candidates of size k in lexicographic order, packed: each candidate is
+// joined straight into the output arena as its key, and a pruned one is cut
+// off it again. Pruning writes each subset's key into one scratch buffer and
+// looks it up in a set of L(k-1)'s keys, all substrings of one string, so a
+// call allocates a fixed number of times whatever the number of checks.
+func AprioriGen(large []Itemset) Packed {
 	if len(large) == 0 {
-		return nil
+		return Packed{}
 	}
 	k1 := len(large[0])
-	sorted := make([]Itemset, len(large))
-	copy(sorted, large)
+	sorted := append([]Itemset(nil), large...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	largeSet := SetOf(sorted)
 
-	var candidates []Itemset
+	// The output arena is sized for every join, so it never regrows; from
+	// k-1 = 1 no candidate is pruned and that size is exact.
+	joins := 0
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && samePrefix(sorted[i], sorted[j], k1-1) {
+			j++
+		}
+		joins += (j - i) * (j - i - 1) / 2
+		i = j
+	}
+	out := Packed{K: k1 + 1, Keys: make([]byte, 0, KeyLen(k1+1)*joins)}
+	var set map[string]struct{}
+	var scratch []byte
+	if k1 > 1 {
+		all, stride := string(Pack(k1, sorted).Keys), KeyLen(k1)
+		set = make(map[string]struct{}, len(sorted))
+		for i := 0; i < len(all); i += stride {
+			set[all[i:i+stride]] = struct{}{}
+		}
+		scratch = make([]byte, 0, stride)
+	}
 	for i := 0; i < len(sorted); i++ {
 		a := sorted[i]
 		for j := i + 1; j < len(sorted); j++ {
@@ -64,16 +81,14 @@ func AprioriGen(large []Itemset) []Itemset {
 			}
 			// Join: a ∪ {b[k1-1]}; since a.Less(b) and prefixes match,
 			// b's last item is greater than a's last item.
-			cand := make(Itemset, k1+1)
-			copy(cand, a)
-			cand[k1] = b[k1-1]
-			if prunable(cand, largeSet) {
-				continue
+			n := len(out.Keys)
+			out.Keys = binary.LittleEndian.AppendUint32(AppendKey(out.Keys, a), uint32(b[k1-1]))
+			if set != nil && prunable(out.Keys[n:], set, scratch) {
+				out.Keys = out.Keys[:n]
 			}
-			candidates = append(candidates, cand)
 		}
 	}
-	return candidates
+	return out
 }
 
 func samePrefix(a, b Itemset, n int) bool {
@@ -85,12 +100,14 @@ func samePrefix(a, b Itemset, n int) bool {
 	return true
 }
 
-// prunable reports whether any (k-1)-subset of cand is missing from large.
+// prunable reports whether any (k-1)-subset of the candidate keyed cand is
+// missing from large; dropping item i drops the key's bytes 4i..4i+3.
 // Subsets formed by dropping the last two items need not be checked: they
 // are prefixes of the two join parents, which are large by construction.
-func prunable(cand Itemset, large *Set) bool {
-	for i := 0; i < len(cand)-2; i++ {
-		if !large.Has(cand.Without(i)) {
+func prunable(cand []byte, large map[string]struct{}, scratch []byte) bool {
+	for i := 0; i < len(cand)-8; i += 4 {
+		scratch = append(append(scratch[:0], cand[:i]...), cand[i+4:]...)
+		if _, ok := large[string(scratch)]; !ok {
 			return true
 		}
 	}

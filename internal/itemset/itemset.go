@@ -38,9 +38,6 @@ func (s Itemset) IsCanonical() bool {
 	return true
 }
 
-// K returns the itemset's size.
-func (s Itemset) K() int { return len(s) }
-
 // Equal reports item-wise equality.
 func (s Itemset) Equal(t Itemset) bool {
 	if len(s) != len(t) {
@@ -66,12 +63,6 @@ func (s Itemset) Less(t Itemset) bool {
 		}
 	}
 	return len(s) < len(t)
-}
-
-// Contains reports whether s contains item x.
-func (s Itemset) Contains(x Item) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	return i < len(s) && s[i] == x
 }
 
 // ContainsAll reports whether s is a superset of t (both canonical).
@@ -141,6 +132,51 @@ func FromKey(key string) Itemset {
 	return s
 }
 
+// Packed is a list of k-itemsets held as their keys (AppendKey's bytes,
+// 4·k each) back to back in one arena: no Itemset and no allocation per
+// itemset. AprioriGen returns its candidates in this form.
+type Packed struct {
+	K    int
+	Keys []byte
+}
+
+// Pack packs k-itemsets in order.
+func Pack(k int, sets []Itemset) Packed {
+	p := Packed{K: k, Keys: make([]byte, 0, KeyLen(k)*len(sets))}
+	for _, s := range sets {
+		p.Keys = AppendKey(p.Keys, s)
+	}
+	return p
+}
+
+// Len returns the number of itemsets.
+func (p Packed) Len() int {
+	if p.K == 0 {
+		return 0
+	}
+	return len(p.Keys) / KeyLen(p.K)
+}
+
+// Key returns itemset i's key, a view into the arena.
+func (p Packed) Key(i int) []byte {
+	n := KeyLen(p.K)
+	return p.Keys[i*n : (i+1)*n : (i+1)*n]
+}
+
+// Itemsets decodes the list for consumers that need the []Itemset form; the
+// itemsets share one backing array.
+func (p Packed) Itemsets() []Itemset {
+	items := make(Itemset, len(p.Keys)/4)
+	for i := range items {
+		items[i] = Item(binary.LittleEndian.Uint32(p.Keys[4*i:]))
+	}
+	out := make([]Itemset, p.Len())
+	for i := range out {
+		out[i] = items[i*p.K : (i+1)*p.K : (i+1)*p.K]
+	}
+	return out
+}
+
 // String renders the itemset as "{a,b,c}".
 func (s Itemset) String() string {
 	var sb strings.Builder
@@ -164,31 +200,23 @@ const (
 // hash used both for hash-line placement and for HPA's processor
 // partitioning, as in the paper.
 func (s Itemset) Hash() uint64 {
+	var buf [32]byte // up to 8 items on the stack
+	return HashKey(AppendKey(buf[:0], s))
+}
+
+// HashKey is Hash of the itemset whose key is key: FNV-1a over the key's
+// bytes, which are each item's little-endian bytes in turn.
+func HashKey(key []byte) uint64 {
 	h := uint64(fnvOffset64)
-	for _, it := range s {
-		v := uint32(it)
-		for i := 0; i < 4; i++ {
-			h ^= uint64(byte(v))
-			h *= fnvPrime64
-			v >>= 8
-		}
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= fnvPrime64
 	}
 	return h
 }
 
 // HashPair hashes the 2-itemset {a,b} without allocating. a must be < b.
-func HashPair(a, b Item) uint64 {
-	h := uint64(fnvOffset64)
-	for _, it := range [2]Item{a, b} {
-		v := uint32(it)
-		for i := 0; i < 4; i++ {
-			h ^= uint64(byte(v))
-			h *= fnvPrime64
-			v >>= 8
-		}
-	}
-	return h
-}
+func HashPair(a, b Item) uint64 { return Itemset{a, b}.Hash() }
 
 // Pack2 packs a 2-itemset into a uint64 (a in the high word). a must be < b.
 func Pack2(a, b Item) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

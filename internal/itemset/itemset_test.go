@@ -161,7 +161,10 @@ func TestCountSubsets(t *testing.T) {
 // AprioriGen: all unions of pairs of large (k-1)-itemsets with size k, whose
 // every (k-1)-subset is large.
 func naiveGen(large []Itemset) []Itemset {
-	largeSet := SetOf(large)
+	largeSet := NewSet()
+	for _, l := range large {
+		largeSet.Add(l)
+	}
 	seen := map[string]Itemset{}
 	for i := range large {
 		for j := range large {
@@ -208,7 +211,7 @@ func TestAprioriGenAgainstNaive(t *testing.T) {
 			}
 		}
 		large := set.Slice()
-		got := AprioriGen(large)
+		got := AprioriGen(large).Itemsets()
 		want := naiveGen(large)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (k-1=%d, |L|=%d): got %d candidates, want %d\nL=%v\ngot=%v\nwant=%v",
@@ -226,14 +229,82 @@ func TestAprioriGenPass2Complete(t *testing.T) {
 	// From k=1 no pruning applies: C2 must be every pair.
 	large := []Itemset{New(1), New(2), New(3), New(4)}
 	got := AprioriGen(large)
-	if len(got) != 6 {
-		t.Fatalf("C2 from 4 large 1-itemsets = %d candidates, want 6: %v", len(got), got)
+	if got.Len() != 6 {
+		t.Fatalf("C2 from 4 large 1-itemsets = %d candidates, want 6: %v", got.Len(), got.Itemsets())
 	}
 }
 
 func TestAprioriGenEmpty(t *testing.T) {
-	if got := AprioriGen(nil); got != nil {
+	if got := AprioriGen(nil); got.Len() != 0 || got.Keys != nil {
 		t.Errorf("AprioriGen(nil) = %v", got)
+	}
+}
+
+// randomLarge draws a random canonical L(k-1): (k-1)-itemsets over a small
+// universe, dense enough that many pairs join and many joins are pruned.
+func randomLarge(rng *rand.Rand, k1, universe, n int) []Itemset {
+	set := NewSet()
+	for i := 0; i < n; i++ {
+		items := make([]Item, 0, k1)
+		for len(items) < k1 {
+			items = append(items, Item(rng.Intn(universe)))
+		}
+		if s := New(items...); len(s) == k1 {
+			set.Add(s)
+		}
+	}
+	return set.Slice()
+}
+
+// TestAprioriGenPackedMatchesBruteForce: for k = 2…5 the packed join holds
+// exactly the brute-force join-and-prune reference's keys, in order.
+func TestAprioriGenPackedMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 2; k <= 5; k++ {
+		for trial := 0; trial < 40; trial++ {
+			large := randomLarge(rng, k-1, 7+k, 10+rng.Intn(60))
+			got := AprioriGen(large)
+			want := Pack(k, naiveGen(large))
+			if got.K != k || string(got.Keys) != string(want.Keys) {
+				t.Fatalf("k=%d trial %d: |L|=%d, got %d candidates %v, want %d %v",
+					k, trial, len(large), got.Len(), got.Itemsets(), want.Len(), want.Itemsets())
+			}
+		}
+	}
+}
+
+// TestAprioriGenPruneAllocatesPerCall: the k ≥ 3 prune allocates a fixed
+// number of times per call, not once per subset check.
+func TestAprioriGenPruneAllocatesPerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var large []Itemset // L2: 90% of the pairs of 80 items
+	for a := 0; a < 80; a++ {
+		for b := a + 1; b < 80; b++ {
+			if rng.Intn(10) != 0 {
+				large = append(large, New(Item(a), Item(b)))
+			}
+		}
+	}
+	c3 := AprioriGen(large)
+	if c3.Len() < 20_000 || c3.Len() > 70_000 {
+		t.Fatalf("%d candidates: the fixture no longer exercises many checks", c3.Len())
+	}
+	allocs := testing.AllocsPerRun(3, func() { AprioriGen(large) })
+	if allocs > 40 {
+		t.Errorf("AprioriGen allocated %.0f times for %d candidates, want at most 40", allocs, c3.Len())
+	}
+}
+
+func TestPackedRoundTrip(t *testing.T) {
+	sets := []Itemset{New(1, 2, 3), New(4, 5, 600), New(7, 8, 9)}
+	p := Pack(3, sets)
+	if p.Len() != 3 || (Packed{}).Len() != 0 {
+		t.Fatalf("Len = %d", p.Len())
+	}
+	for i, s := range p.Itemsets() {
+		if !s.Equal(sets[i]) || string(p.Key(i)) != sets[i].Key() || HashKey(p.Key(i)) != sets[i].Hash() {
+			t.Errorf("itemset %d: %v, key %x", i, s, p.Key(i))
+		}
 	}
 }
 

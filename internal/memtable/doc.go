@@ -15,16 +15,20 @@
 //     DecodeEntries, which bounds the declared count by the payload's bytes)
 //     and one remote-update step (Increment; only the rmtp server keeps its
 //     own []byte-keyed loop, which does not allocate).
-//   - Table: the hash table. Insert adds candidates during candidate
-//     generation; Probe increments a candidate's count during the counting
-//     phase, transparently triggering eviction, pagefault, or remote-update
+//   - Table: the hash table. Build adds a pass's candidates in two sweeps
+//     (count each line's, then Insert them), Insert adds one, and Probe
+//     increments a candidate's count during the counting phase,
+//     transparently triggering eviction, pagefault, or remote-update
 //     traffic as the configured Policy dictates. Its line directory is
-//     sparse: New allocates 4 B per line, and a line's header (its
-//     candtab.Line, location and residency links) is made in a chunked slab
-//     on first use. A line with no header reads as resident and empty. The
-//     residency order that picks eviction victims is kept only under a
-//     limit; with none, nothing is evicted, and a probe of a line that holds
-//     no candidate is a plain miss that allocates nothing.
+//     sparse: New allocates 4 B per line, and a line's header (a view of
+//     its range in the table's one arena of fixed-stride key and count
+//     records, its location and residency links) is made in a chunked slab
+//     on first use. A line with no header reads as resident and empty. A
+//     stored-out line gives up its range; the arena is compacted, not
+//     grown, once half of it is given-up ranges. The residency order that
+//     picks eviction victims is kept only under a limit; with none, nothing
+//     is evicted, and a probe of a line that holds no candidate is a plain
+//     miss that allocates nothing.
 //   - Config: capacity limit, eviction policy, swap policy (SimpleSwap
 //     faults absent lines back on access, §4.3; RemoteUpdate pins them
 //     remotely and sends one-way increments, §4.4), plus the optional

@@ -1,11 +1,12 @@
 package memtable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"repro/internal/candtab"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -154,19 +155,20 @@ const (
 	stateOut
 )
 
-// line is the header of one touched hash line. Headers live in the Table's
-// slab and are made on a line's first use; a line that was never touched
-// has none and behaves as a resident, empty line.
+// line is the header of one touched hash line: a view of its range in the
+// Table's arena plus its location and residency links. Headers live in the
+// Table's slab and are made on a line's first use (or, for the lines a Build
+// counts, all at once); a line that was never touched has none and behaves
+// as a resident, empty line.
 type line struct {
-	// Resident entries live in a flat candidate table (candtab.Line): arena
-	// keys + SoA counts + open-addressing index, embedded by value (the zero
-	// value is an empty, ready-to-use line). The []Entry form exists only at
-	// the pager boundary (StoreOut/FetchIn), where insertion order is
-	// preserved so the wire image is byte-identical to the legacy slice
-	// representation.
-	flat  candtab.Line
-	loc   Location
-	bytes int64 // accounted bytes (valid in both states)
+	// The line's entries are arena records off..off+n-1, in insertion order,
+	// in a range of size records. off is -1 while the line holds no range:
+	// before its first entry and while it is swapped out. n and size survive
+	// a swap-out, so the line is accounted n·EntryMemBytes in both states and
+	// comes back to a range of its own size.
+	off, n, size int32
+	// node and slot are the line's Location while it is swapped out.
+	node, slot int32
 	// Residency-order intrusive list of line ids (LRU/FIFO victim
 	// selection), kept only when the table has a limit.
 	prev, next int32
@@ -175,6 +177,9 @@ type line struct {
 	pos   int32
 	state lineState
 }
+
+// bytes is the line's accounted size.
+func (l *line) bytes() int64 { return int64(l.n) * EntryMemBytes }
 
 // slabChunk is the number of line headers allocated together. Chunks never
 // move, so a header pointer stays valid while the slab grows.
@@ -186,11 +191,21 @@ const slabChunk = 1024
 type Table struct {
 	cfg Config
 	// dir maps a line id to 1 + its header's slot in slab; 0 means the line
-	// was never touched and has no header.
-	dir   []int32
-	slab  [][]line
-	slots int32
-	pager Pager
+	// was never touched and has no header. During a Build's first sweep, -n
+	// means the build counted n entries for the line.
+	dir      []int32
+	slab     [][]line
+	slots    int32
+	reserved int32 // entries the Build counted
+	pager    Pager
+
+	// arena holds the lines' ranges, rec() bytes per record: a stride-byte
+	// key, then its count as a little-endian int32. stride is fixed by the
+	// first key the table holds. A released range stays in place, counted in
+	// dead (records), until a compaction drops it.
+	arena  []byte
+	stride int
+	dead   int
 
 	resident int64
 	stats    Stats
@@ -223,9 +238,6 @@ func New(cfg Config, pager Pager) (*Table, error) {
 	return t, nil
 }
 
-// Lines returns the number of hash lines.
-func (t *Table) Lines() int { return len(t.dir) }
-
 // find returns line i's header, or nil if the line was never touched.
 func (t *Table) find(i int32) *line {
 	s := t.dir[i] - 1
@@ -240,16 +252,77 @@ func (t *Table) header(i int32) *line {
 	if l := t.find(i); l != nil {
 		return l
 	}
-	s := t.slots
-	if s%slabChunk == 0 {
+	if t.slots%slabChunk == 0 {
 		// A table smaller than one chunk only ever needs one short chunk.
 		t.slab = append(t.slab, make([]line, min(slabChunk, len(t.dir))))
 	}
+	return t.newHeader(i)
+}
+
+// newHeader makes line i's header in the next free slab slot.
+func (t *Table) newHeader(i int32) *line {
+	s := t.slots
 	t.slots++
 	t.dir[i] = s + 1
 	l := &t.slab[s/slabChunk][s%slabChunk]
-	l.prev, l.next, l.pos = -1, -1, -1
+	l.off, l.prev, l.next, l.pos = -1, -1, -1, -1
 	return l
+}
+
+// Build inserts a table's candidates, cand(0) to cand(n-1), in two sweeps.
+// cand(i) returns candidate i's line and key, or a negative line for a
+// candidate that is not this table's, and must return the same in both
+// sweeps. The first sweep counts each line's candidates and charges
+// nothing; the second Inserts them in order. So the build costs a fixed
+// number of allocations: the headers of all its lines are made together,
+// the arena is sized for every entry, and on a table with no limit each
+// line gets its whole range at its first Insert. Build must be the table's
+// first use.
+func (t *Table) Build(p transport.Proc, n int, cand func(i int) (lineID int, key []byte)) error {
+	if t.slots > 0 {
+		return errors.New("memtable: Build on a table in use")
+	}
+	lines := 0
+	for i := 0; i < n; i++ {
+		if lineID, _ := cand(i); lineID >= len(t.dir) {
+			return fmt.Errorf("memtable: line %d out of range", lineID)
+		} else if lineID >= 0 {
+			if t.dir[lineID] == 0 {
+				lines++
+			}
+			t.dir[lineID]--
+			t.reserved++
+		}
+	}
+	t.seal(lines)
+	for i := 0; i < n; i++ {
+		if lineID, key := cand(i); lineID >= 0 {
+			if err := t.Insert(p, lineID, key); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// seal turns the Build's counts for n lines into headers, in line order, in
+// one slab allocation. On a table with no limit each is sized for its line's
+// entries; under a limit ranges follow the entries a line holds instead.
+func (t *Table) seal(n int) {
+	chunks := (n + slabChunk - 1) / slabChunk
+	backing := make([]line, min(chunks*slabChunk, len(t.dir)))
+	t.slab = make([][]line, chunks, chunks+1)
+	for c := range t.slab {
+		t.slab[c] = backing[c*slabChunk : min((c+1)*slabChunk, len(backing))]
+	}
+	for i, d := range t.dir {
+		if d < 0 {
+			l := t.newHeader(int32(i))
+			if t.cfg.LimitBytes == 0 {
+				l.size = -d
+			}
+		}
+	}
 }
 
 // ResidentBytes returns current resident accounting.
@@ -350,11 +423,6 @@ func (t *Table) victim(protect int32) int32 {
 
 // --- residency management ---
 
-// WouldOverflow reports whether adding extra bytes exceeds the limit.
-func (t *Table) WouldOverflow(extra int64) bool {
-	return t.cfg.LimitBytes > 0 && t.resident+extra > t.cfg.LimitBytes
-}
-
 // evictUntil swaps out LRU-last lines until resident+incoming fits, always
 // keeping the protected line resident. It panics on pager errors becoming
 // visible (callers translate via runMining error paths).
@@ -380,21 +448,21 @@ func (t *Table) evict(p transport.Proc, i int32) error {
 		return fmt.Errorf("memtable: evicting non-resident line %d", i)
 	}
 	start := p.Now()
-	loc, err := t.pager.StoreOut(p, int(i), flatEntries(&l.flat))
+	loc, err := t.pager.StoreOut(p, int(i), t.entries(l, 0, nil))
 	if err != nil {
 		return fmt.Errorf("memtable: store-out of line %d: %w", i, err)
 	}
 	t.lruRemove(i)
+	l.setLoc(loc)
 	l.state = stateOut
-	l.loc = loc
-	l.flat = candtab.Line{}
-	t.resident -= l.bytes
+	t.release(l)
+	t.resident -= l.bytes()
 	t.outLines++
 	t.stats.Evictions++
 	if t.cfg.Rec.Wants(trace.KEviction) {
 		t.cfg.Rec.Emit(trace.Event{
 			At: start, Dur: p.Now().Sub(start), Node: t.cfg.Node,
-			Kind: trace.KEviction, Line: int(i), Peer: loc.Node, Bytes: l.bytes,
+			Kind: trace.KEviction, Line: int(i), Peer: loc.Node, Bytes: l.bytes(),
 		})
 	}
 	return nil
@@ -404,26 +472,24 @@ func (t *Table) evict(p transport.Proc, i int32) error {
 // first).
 func (t *Table) fault(p transport.Proc, i int32, l *line) error {
 	start := p.Now()
-	src := l.loc.Node
-	if err := t.evictUntil(p, l.bytes, i); err != nil {
+	src := int(l.node)
+	if err := t.evictUntil(p, l.bytes(), i); err != nil {
 		return err
 	}
-	entries, err := t.pager.FetchIn(p, int(i), l.loc)
+	entries, err := t.pager.FetchIn(p, int(i), l.loc())
 	if err != nil {
 		return fmt.Errorf("memtable: fetch-in of line %d: %w", i, err)
 	}
-	l.state = stateResident
-	l.flat = flatFromEntries(entries)
-	l.bytes = int64(len(entries)) * EntryMemBytes
-	t.resident += l.bytes
-	t.outLines--
+	if err := t.load(i, l, entries); err != nil {
+		return err
+	}
 	t.lruPushFront(i)
 	t.stats.Pagefaults++
 	t.stats.FaultedTime += p.Now().Sub(start)
 	if t.cfg.Rec.Wants(trace.KPagefault) {
 		t.cfg.Rec.Emit(trace.Event{
 			At: start, Dur: p.Now().Sub(start), Node: t.cfg.Node,
-			Kind: trace.KPagefault, Line: int(i), Peer: src, Bytes: l.bytes,
+			Kind: trace.KPagefault, Line: int(i), Peer: src, Bytes: l.bytes(),
 		})
 	}
 	t.notePeak()
@@ -437,9 +503,9 @@ func (t *Table) notePeak() {
 }
 
 // Insert adds a candidate entry (count 0) to the given line during the
-// build phase, copying key into the line's arena. Swapped-out lines are
-// faulted back in regardless of policy (pinning applies only to the counting
-// phase).
+// build phase, copying key into the line's range of the arena. A table's
+// keys all have the length of its first. Swapped-out lines are faulted back
+// in regardless of policy (pinning applies only to the counting phase).
 func (t *Table) Insert(p transport.Proc, lineID int, key []byte) error {
 	if lineID < 0 || lineID >= len(t.dir) {
 		return fmt.Errorf("memtable: line %d out of range", lineID)
@@ -451,9 +517,18 @@ func (t *Table) Insert(p transport.Proc, lineID int, key []byte) error {
 			return err
 		}
 	}
+	if err := t.setStride(len(key)); err != nil {
+		return err
+	}
 	p.Work(t.cfg.InsertCost)
-	l.flat.Insert(key)
-	l.bytes += EntryMemBytes
+	if l.off < 0 || l.n == l.size {
+		// A line's first range is what the Build counted for it (none under
+		// a limit); a full line moves to a range twice its entries.
+		t.place(l, max(l.size, 2*l.n, 1))
+	}
+	r := t.record(l.off + l.n)
+	binary.LittleEndian.PutUint32(r[copy(r, key):], 0)
+	l.n++
 	t.resident += EntryMemBytes
 	t.stats.Inserts++
 	t.notePeak()
@@ -480,7 +555,7 @@ func (t *Table) Probe(p transport.Proc, lineID int, key []byte) error {
 	t.stats.Probes++
 	if t.cfg.LimitBytes == 0 {
 		p.Work(t.cfg.ProbeCost)
-		if l := t.find(i); l != nil && l.flat.AddBytes(key, 1) {
+		if l := t.find(i); l != nil && t.hit(l, key) {
 			t.stats.Hits++
 		}
 		return nil
@@ -492,22 +567,22 @@ func (t *Table) Probe(p transport.Proc, lineID int, key []byte) error {
 			t.stats.Updates++
 			if t.cfg.Rec.Wants(trace.KUpdate) {
 				start := p.Now()
-				err := t.pager.Update(p, lineID, l.loc, string(key))
+				err := t.pager.Update(p, lineID, l.loc(), string(key))
 				t.cfg.Rec.Emit(trace.Event{
 					At: start, Dur: p.Now().Sub(start), Node: t.cfg.Node,
-					Kind: trace.KUpdate, Line: lineID, Peer: l.loc.Node,
+					Kind: trace.KUpdate, Line: lineID, Peer: int(l.node),
 					Bytes: EntryWireBytes,
 				})
 				return err
 			}
-			return t.pager.Update(p, lineID, l.loc, string(key))
+			return t.pager.Update(p, lineID, l.loc(), string(key))
 		}
 		if err := t.fault(p, i, l); err != nil {
 			return err
 		}
 	}
 	p.Work(t.cfg.ProbeCost)
-	if l.flat.AddBytes(key, 1) {
+	if t.hit(l, key) {
 		t.stats.Hits++
 	}
 	t.touch(i, l)
@@ -526,10 +601,16 @@ func (t *Table) Collect(p transport.Proc, minCount int) ([]Entry, error) {
 		swapped := make([]Swapped, 0, t.outLines)
 		for i := range t.dir {
 			if l := t.find(int32(i)); l != nil && l.state == stateOut {
-				swapped = append(swapped, Swapped{Line: i, Loc: l.loc})
+				swapped = append(swapped, Swapped{Line: i, Loc: l.loc()})
 			}
 		}
-		if err := bf.FetchAll(p, swapped, t.admit); err != nil {
+		var lerr error
+		err := bf.FetchAll(p, swapped, func(i int, entries []Entry) {
+			if lerr == nil {
+				lerr = t.admit(i, entries)
+			}
+		})
+		if err = errors.Join(err, lerr); err != nil {
 			return nil, fmt.Errorf("memtable: collect: %w", err)
 		}
 	}
@@ -540,68 +621,158 @@ func (t *Table) Collect(p transport.Proc, minCount int) ([]Entry, error) {
 			continue
 		}
 		if l.state == stateOut {
-			entries, err := t.pager.FetchIn(p, i, l.loc)
+			entries, err := t.pager.FetchIn(p, i, l.loc())
 			if err != nil {
 				return nil, fmt.Errorf("memtable: collect line %d: %w", i, err)
 			}
-			t.admit(i, entries)
-		}
-		for j := 0; j < l.flat.Len(); j++ {
-			if c := l.flat.Count(j); int(c) >= minCount {
-				out = append(out, Entry{Key: l.flat.Key(j), Count: c})
+			if err := t.admit(i, entries); err != nil {
+				return nil, err
 			}
 		}
+		out = t.entries(l, minCount, out)
 	}
 	return out, nil
 }
 
 // admit makes a line Collect fetched resident, counting it as a pagefault.
-func (t *Table) admit(i int, entries []Entry) {
+func (t *Table) admit(i int, entries []Entry) error {
 	l := t.find(int32(i))
 	if l == nil || l.state != stateOut {
-		return
-	}
-	l.state = stateResident
-	l.flat = flatFromEntries(entries)
-	l.bytes = int64(len(entries)) * EntryMemBytes
-	t.resident += l.bytes
-	t.outLines--
-	t.lruPushFront(int32(i))
-	t.stats.Pagefaults++
-}
-
-// flatEntries converts a flat line to the pager's []Entry form, preserving
-// insertion order. An empty line yields nil, matching the legacy nil-slice
-// wire image.
-func flatEntries(fl *candtab.Line) []Entry {
-	if fl.Len() == 0 {
 		return nil
 	}
-	out := make([]Entry, fl.Len())
-	for i := range out {
-		out[i] = Entry{Key: fl.Key(i), Count: fl.Count(i)}
+	if err := t.load(int32(i), l, entries); err != nil {
+		return err
+	}
+	t.lruPushFront(int32(i))
+	t.stats.Pagefaults++
+	return nil
+}
+
+// load makes swapped-out line i, whose header is l, resident with the
+// entries its pager returned, in a range of the line's size.
+func (t *Table) load(i int32, l *line, entries []Entry) error {
+	for _, e := range entries {
+		if err := t.setStride(len(e.Key)); err != nil {
+			return fmt.Errorf("memtable: line %d came back with %w", i, err)
+		}
+	}
+	l.state = stateResident
+	l.n = int32(len(entries))
+	if l.n > 0 {
+		t.place(l, max(l.size, l.n))
+	}
+	for j, e := range entries {
+		r := t.record(l.off + int32(j))
+		binary.LittleEndian.PutUint32(r[copy(r, e.Key):], uint32(e.Count))
+	}
+	t.resident += l.bytes()
+	t.outLines--
+	return nil
+}
+
+// entries appends to out line l's entries whose count is at least minCount,
+// in insertion order: the pager's []Entry form of the line. With nothing to
+// append out stays as it is, so an empty line stores out as nil.
+func (t *Table) entries(l *line, minCount int, out []Entry) []Entry {
+	for j := int32(0); j < l.n; j++ {
+		r := t.record(l.off + j)
+		if c := int32(binary.LittleEndian.Uint32(r[t.stride:])); int(c) >= minCount {
+			out = append(out, Entry{Key: string(r[:t.stride]), Count: c})
+		}
 	}
 	return out
 }
 
-// flatFromEntries rebuilds a flat line from pager entries in order.
-func flatFromEntries(entries []Entry) candtab.Line {
-	var fl candtab.Line
-	fl.Grow(len(entries), wireKeyBytes(entries))
-	for _, e := range entries {
-		fl.InsertCount(e.Key, e.Count)
+// hit adds one to the count of the first of line l's entries whose key is
+// key and reports whether there was one. The line's keys are scanned in
+// place: a pass-2 line holds one or two.
+func (t *Table) hit(l *line, key []byte) bool {
+	for j := l.off; j < l.off+l.n; j++ {
+		if r := t.record(j); string(r[:t.stride]) == string(key) {
+			c := r[t.stride:]
+			binary.LittleEndian.PutUint32(c, binary.LittleEndian.Uint32(c)+1)
+			return true
+		}
 	}
-	return fl
+	return false
 }
 
-// wireKeyBytes sums the key bytes of a pager entry slice (arena presizing).
-func wireKeyBytes(entries []Entry) int {
-	n := 0
-	for _, e := range entries {
-		n += len(e.Key)
-	}
-	return n
+// --- arena ---
+
+// rec is the bytes of one arena record.
+func (t *Table) rec() int { return t.stride + 4 }
+
+// record returns arena record j.
+func (t *Table) record(j int32) []byte {
+	o := int(j) * t.rec()
+	return t.arena[o : o+t.rec() : o+t.rec()]
 }
+
+// setStride fixes the table's key length at the first key it holds and
+// refuses any other.
+func (t *Table) setStride(n int) error {
+	if t.stride == 0 && n > 0 {
+		t.stride = n
+		// Room for every reserved entry, under a limit for the limit's worth.
+		hint := int64(t.reserved)
+		if t.cfg.LimitBytes > 0 {
+			hint = min(hint, t.cfg.LimitBytes/EntryMemBytes)
+		}
+		t.arena = make([]byte, 0, int(hint)*t.rec())
+	}
+	if n != t.stride {
+		return fmt.Errorf("memtable: a %d-byte key in a table of %d-byte keys", n, t.stride)
+	}
+	return nil
+}
+
+// place moves line l, with its entries, to a new range of size records at
+// the arena's end. An arena that is full and at least half released ranges
+// is compacted rather than grown, so it stays within about four times the
+// records its lines' ranges hold, whatever their sizes.
+func (t *Table) place(l *line, size int32) {
+	r := t.rec()
+	if len(t.arena)+int(size)*r > cap(t.arena) && t.dead > 0 && 2*t.dead*r >= len(t.arena) {
+		t.compact()
+	}
+	off := len(t.arena)
+	t.arena = slices.Grow(t.arena, int(size)*r)[:off+int(size)*r]
+	if l.off >= 0 {
+		copy(t.arena[off:], t.arena[int(l.off)*r:int(l.off+l.n)*r])
+	}
+	t.release(l)
+	l.off, l.size = int32(off/r), size
+}
+
+// release gives up line l's range.
+func (t *Table) release(l *line) {
+	if l.off >= 0 {
+		t.dead += int(l.size)
+		l.off = -1
+	}
+}
+
+// compact moves every line's range to the front of a fresh arena of the same
+// capacity, in slab order, dropping the released ranges.
+func (t *Table) compact() {
+	r := t.rec()
+	arena := make([]byte, 0, cap(t.arena))
+	for s := int32(0); s < t.slots; s++ {
+		if l := &t.slab[s/slabChunk][s%slabChunk]; l.off >= 0 {
+			off := len(arena)
+			arena = append(arena, t.arena[int(l.off)*r:int(l.off+l.size)*r]...)
+			l.off = int32(off / r)
+		}
+	}
+	t.arena, t.dead = arena, 0
+}
+
+// loc is the line's Location while it is swapped out.
+func (l *line) loc() Location { return Location{Node: int(l.node), Slot: int(l.slot)} }
+
+// setLoc records where the line was stored out. Every pager's nodes and
+// slots are node indices and line or slot numbers, all int32 like line ids.
+func (l *line) setLoc(loc Location) { l.node, l.slot = int32(loc.Node), int32(loc.Slot) }
 
 // Relocate updates the recorded location of a swapped-out line (used after
 // migration moves stored lines between memory-available nodes).
@@ -613,7 +784,7 @@ func (t *Table) Relocate(lineID int, loc Location) error {
 	if l == nil || l.state != stateOut {
 		return fmt.Errorf("memtable: relocating resident line %d", lineID)
 	}
-	l.loc = loc
+	l.setLoc(loc)
 	return nil
 }
 
@@ -622,7 +793,7 @@ func (t *Table) OutLines() map[int]Location {
 	out := make(map[int]Location, t.outLines)
 	for i := range t.dir {
 		if l := t.find(int32(i)); l != nil && l.state == stateOut {
-			out[i] = l.loc
+			out[i] = l.loc()
 		}
 	}
 	return out
@@ -631,7 +802,7 @@ func (t *Table) OutLines() map[int]Location {
 // LineBytes returns the accounted size of one line.
 func (t *Table) LineBytes(lineID int) int64 {
 	if l := t.find(int32(lineID)); l != nil {
-		return l.bytes
+		return l.bytes()
 	}
 	return 0
 }

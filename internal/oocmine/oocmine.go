@@ -75,7 +75,7 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 	res.Passes = append(res.Passes, apriori.PassStats{K: 1, Candidates: len(counts), Large: len(l1)})
 
 	p := transport.NewRealProc()
-	lineOf := func(is itemset.Itemset) int { return int(is.Hash() % uint64(cfg.Lines)) }
+	lineOf := func(key []byte) int { return int(itemset.HashKey(key) % uint64(cfg.Lines)) }
 	var key []byte
 	prev := l1
 	for k := 2; ; k++ {
@@ -83,7 +83,7 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 			break
 		}
 		cands := itemset.AprioriGen(prev)
-		if len(cands) == 0 {
+		if cands.Len() == 0 {
 			res.Passes = append(res.Passes, apriori.PassStats{K: k})
 			break
 		}
@@ -95,19 +95,20 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 		if err != nil {
 			return nil, stats, err
 		}
-		// Every key is written into one reused scratch buffer; the table
-		// copies what it keeps, so no key is allocated per subset.
-		for _, c := range cands {
-			key = itemset.AppendKey(key[:0], c)
-			if err := tab.Insert(p, lineOf(c), key); err != nil {
-				return nil, stats, err
-			}
+		// The table takes the keys from the join's arena.
+		err = tab.Build(p, cands.Len(), func(i int) (int, []byte) {
+			return lineOf(cands.Key(i)), cands.Key(i)
+		})
+		if err != nil {
+			return nil, stats, err
 		}
+		// Every subset's key is written into one reused scratch buffer, so
+		// no key is allocated per subset.
 		for _, t := range txns {
 			itemset.Subsets(t, k, func(s itemset.Itemset) {
 				if err == nil {
 					key = itemset.AppendKey(key[:0], s)
-					err = tab.Probe(p, lineOf(s), key)
+					err = tab.Probe(p, lineOf(key), key)
 				}
 			})
 			if err != nil {
@@ -126,7 +127,7 @@ func Mine(txns []itemset.Itemset, cfg Config) (*apriori.Result, memtable.Stats, 
 			res.Support[e.Key] = int(e.Count)
 		}
 		sort.Slice(large, func(i, j int) bool { return large[i].Less(large[j]) })
-		res.Passes = append(res.Passes, apriori.PassStats{K: k, Candidates: len(cands), Large: len(large)})
+		res.Passes = append(res.Passes, apriori.PassStats{K: k, Candidates: cands.Len(), Large: len(large)})
 		res.Large = append(res.Large, large)
 		if len(large) == 0 {
 			break

@@ -474,5 +474,6 @@ func Benchmarks() []Benchmark {
 		{"Pass2CountHTreeUniform", "§3 pass-2 kernel", BenchPass2CountHTreeUniform},
 		{"RMTPUpdateBatchLoopback", "§4.4 one-way updates", BenchRMTPUpdateBatchLoopback},
 		{"MemtableBuildProbe", "§5.1 hash table", BenchMemtableBuildProbe},
+		{"CandidateGen", "§2.2 candidate generation", BenchCandidateGen},
 	}
 }

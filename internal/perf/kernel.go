@@ -21,7 +21,8 @@ import (
 // pairs C2 derived from its pass-1 frequent items, and the support floor.
 type pass2Data struct {
 	txns     []itemset.Itemset
-	cands    []itemset.Itemset
+	cands    itemset.Packed    // C2 as the flat kernel takes it
+	sets     []itemset.Itemset // the same C2 as the hash tree takes it
 	minCount int
 }
 
@@ -49,17 +50,20 @@ func pass2Setup() {
 	})
 }
 
-// derivePass2 runs pass 1 and builds C2 = all pairs of frequent items,
-// exactly as the miner's candidate generation would.
+// derivePass2 runs pass 1 and builds C2 = all pairs of frequent items with
+// the miner's candidate generation.
 func derivePass2(txns []itemset.Itemset, minCount int) pass2Data {
-	freq := frequentItems(txns, minCount)
-	var cands []itemset.Itemset
-	for i := 0; i < len(freq); i++ {
-		for j := i + 1; j < len(freq); j++ {
-			cands = append(cands, itemset.New(freq[i], freq[j]))
-		}
+	cands := itemset.AprioriGen(l1Of(frequentItems(txns, minCount)))
+	return pass2Data{txns: txns, cands: cands, sets: cands.Itemsets(), minCount: minCount}
+}
+
+// l1Of is the frequent items as large 1-itemsets.
+func l1Of(items []itemset.Item) []itemset.Itemset {
+	l1 := make([]itemset.Itemset, len(items))
+	for i, it := range items {
+		l1[i] = itemset.Itemset{it}
 	}
-	return pass2Data{txns: txns, cands: cands, minCount: minCount}
+	return l1
 }
 
 // frequentItems is pass 1: the items of at least minCount transactions, in
@@ -116,14 +120,14 @@ func benchPass2(b *testing.B, data *pass2Data, flat bool) {
 	var frequent int
 	for i := 0; i < b.N; i++ {
 		if flat {
-			tab := candtab.New(2, data.cands)
+			tab := candtab.New(data.cands)
 			for _, t := range data.txns {
 				tab.CountTransaction(t)
 			}
 			large, _ := tab.Frequent(data.minCount)
 			frequent = len(large)
 		} else {
-			tree := htree.New(2, data.cands)
+			tree := htree.New(2, data.sets)
 			for _, t := range data.txns {
 				tree.CountTransaction(t)
 			}
@@ -131,7 +135,7 @@ func benchPass2(b *testing.B, data *pass2Data, flat bool) {
 			frequent = len(large)
 		}
 	}
-	b.ReportMetric(float64(len(data.cands)), "C2")
+	b.ReportMetric(float64(len(data.sets)), "C2")
 	b.ReportMetric(float64(frequent), "frequent")
 }
 
@@ -190,9 +194,10 @@ func memtableSetup() {
 }
 
 // BenchMemtableBuildProbe is one unlimited pass-2 table on a fleet node per
-// iteration: memtable.New with 400,000 lines, one Insert per candidate, then
-// one Probe per candidate. It tracks what the line directory costs against
-// the candidates it holds (B/op) and the probe path's cache behaviour.
+// iteration, built as HPA builds it: memtable.New with 400,000 lines, a
+// Build of every candidate, then one Probe per candidate. It tracks what the
+// table costs against the candidates it holds (B/op, allocs/op) and the
+// probe path's cache behaviour.
 func BenchMemtableBuildProbe(b *testing.B) {
 	memtableSetup()
 	costs := hpa.DefaultCPUCosts()
@@ -206,10 +211,11 @@ func BenchMemtableBuildProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range memtableCands {
-			if err := tab.Insert(p, c.line, c.key); err != nil {
-				b.Fatal(err)
-			}
+		err = tab.Build(p, len(memtableCands), func(i int) (int, []byte) {
+			return memtableCands[i].line, memtableCands[i].key
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 		for _, c := range memtableCands {
 			if err := tab.Probe(p, c.line, c.key); err != nil {
@@ -221,6 +227,32 @@ func BenchMemtableBuildProbe(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(memtableCands)), "C2")
+}
+
+var (
+	candGenOnce sync.Once
+	candGenL1   []itemset.Itemset
+)
+
+// BenchCandidateGen is the pass-2 join of the fleet-deep problem's L1 per
+// iteration: the paper's Quest workload at 1,000 transactions (seed 1),
+// minsup 0.7%, 1,101 frequent items joined into 605,550 packed candidates.
+// It tracks what candidate generation allocates (B/op, allocs/op).
+func BenchCandidateGen(b *testing.B) {
+	candGenOnce.Do(func() {
+		p := quest.PaperParams(0.001)
+		p.Seed = 1
+		txns := quest.Generate(p)
+		candGenL1 = l1Of(frequentItems(txns, apriori.MinCount(0.007, len(txns))))
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cands itemset.Packed
+	for i := 0; i < b.N; i++ {
+		cands = itemset.AprioriGen(candGenL1)
+	}
+	b.ReportMetric(float64(len(candGenL1)), "L1")
+	b.ReportMetric(float64(cands.Len()), "C2")
 }
 
 // BenchRMTPUpdateBatchLoopback fires one 64-item OpUpdateBatch frame per

@@ -372,7 +372,7 @@ func TestBenchmarkRegistry(t *testing.T) {
 		"TCPPagerEvictCollectLoopback", "CheckpointPass",
 		"Pass2CountFlat", "Pass2CountHTree",
 		"Pass2CountFlatUniform", "Pass2CountHTreeUniform",
-		"RMTPUpdateBatchLoopback", "MemtableBuildProbe",
+		"RMTPUpdateBatchLoopback", "MemtableBuildProbe", "CandidateGen",
 	}
 	if len(benches) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(benches), len(want))

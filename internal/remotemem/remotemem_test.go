@@ -245,7 +245,8 @@ func TestMigrationMovesLinesAndRelocates(t *testing.T) {
 	r.k.Go("app", func(p *sim.Proc) {
 		defer r.stopAll()
 		for i := 0; i < 16; i++ {
-			if err := tab.Insert(p, i, []byte(fmt.Sprintf("k%d", i))); err != nil {
+			// Every key of a table has one length: the first key's.
+			if err := tab.Insert(p, i, []byte(fmt.Sprintf("k%02d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -268,7 +269,7 @@ func TestMigrationMovesLinesAndRelocates(t *testing.T) {
 		}
 		// Updates to migrated lines must still land (forwarding or new loc).
 		for line, loc := range outAfter {
-			if err := r.client.Update(p, line, loc, fmt.Sprintf("k%d", line)); err != nil {
+			if err := r.client.Update(p, line, loc, fmt.Sprintf("k%02d", line)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,7 +283,7 @@ func TestMigrationMovesLinesAndRelocates(t *testing.T) {
 			counts[e.Key] = e.Count
 		}
 		for line := range outAfter {
-			key := fmt.Sprintf("k%d", line)
+			key := fmt.Sprintf("k%02d", line)
 			if counts[key] != 1 {
 				t.Errorf("post-migration update lost for %s: count %d", key, counts[key])
 			}

@@ -18,8 +18,8 @@
 //
 //   - The TCP backend (TCPMesh/RealSpawner) is a real gob-framed socket mesh
 //     between miner processes, mirroring the pilot system's "mesh topology"
-//     of TLI endpoints. Virtual-time charges (Proc.Work) accrue but never
-//     sleep — real time is real — while the modeled wire sizes still feed the
+//     of TLI endpoints. Virtual-time charges (Proc.Work) are ignored — real
+//     time is real — while the modeled wire sizes still feed the
 //     per-node traffic counters so sim and TCP runs stay comparable.
 //
 // The remote-memory store/fetch/update/migrate surface stays a

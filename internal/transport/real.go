@@ -2,30 +2,25 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
 )
 
 // RealProc is the TCP backend's execution context: a plain goroutine on the
-// wall clock. Work charges accrue (so modeled-CPU accounting can still be
-// read afterwards) but never sleep — real compute takes real time — while
-// Sleep is a true wall-clock sleep, since backoff and polling intervals are
-// behavioral, not accounting.
+// wall clock. Work charges are ignored — real compute takes real time —
+// while Sleep is a true wall-clock sleep, since backoff and polling
+// intervals are behavioral, not accounting.
 type RealProc struct {
-	start  time.Time
-	worked atomic.Int64 // accrued modeled work, ns
+	start time.Time
 }
 
 // NewRealProc returns a process clock starting now.
 func NewRealProc() *RealProc { return &RealProc{start: time.Now()} }
 
-// Work accrues modeled CPU time without sleeping.
-func (p *RealProc) Work(d sim.Duration) { p.worked.Add(int64(d)) }
-
-// Worked returns the accrued modeled CPU time.
-func (p *RealProc) Worked() sim.Duration { return sim.Duration(p.worked.Load()) }
+// Work does nothing: the modeled CPU time of a wall-clock process is the
+// time its code takes.
+func (p *RealProc) Work(sim.Duration) {}
 
 // Sleep blocks the goroutine for d of wall-clock time.
 func (p *RealProc) Sleep(d sim.Duration) {
@@ -38,7 +33,7 @@ func (p *RealProc) Sleep(d sim.Duration) {
 // sim.Time axis (both are nanoseconds).
 func (p *RealProc) Now() sim.Time { return sim.Time(time.Since(p.start)) }
 
-// Flush is a no-op: accrued work is accounting only.
+// Flush is a no-op: there is no modeled work to settle.
 func (p *RealProc) Flush() {}
 
 var _ Proc = (*RealProc)(nil)

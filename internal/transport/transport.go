@@ -8,8 +8,8 @@ import (
 
 // Proc is the execution context a transport operation charges time against.
 // *sim.Proc satisfies it on the simulated backend; RealProc satisfies it on
-// the TCP backend, where Work charges accrue for accounting but real time is
-// not slept away.
+// the TCP backend, where Work charges are ignored: real compute takes real
+// time.
 type Proc interface {
 	// Work accrues d of modeled CPU time, charged lazily.
 	Work(d sim.Duration)
