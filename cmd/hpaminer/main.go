@@ -248,6 +248,7 @@ func (a tcpArgs) config() core.TCPConfig {
 			Timeout: 10 * time.Second,
 			Retries: 3,
 			Backoff: 50 * time.Millisecond,
+			Jitter:  0.5,
 		},
 	}
 	if a.policy == "update" {

@@ -19,11 +19,10 @@
 //     lines, no lost one-way updates, no duplications from retries — and
 //     teardown leaves no goroutines or file descriptors behind.
 //
-// The soak exercises the stack the TCP fleet runs: the rmtp client's
-// deadlines and jittered retries (RunSoak's default ClientOptions arm no
-// retry budget and no circuit breaker); the server's lease-then-delete
-// fetches and, under a small ServerCapacity, its capacity NACKs (its overload
-// protection is off unless SoakConfig.ServerOptions arm it); and
+// The soak exercises the stack the TCP fleet runs: the rmtp client's one
+// retry policy (250 ms deadlines, 3 retries, 2 ms doubling backoff with
+// jitter 0.5); the server's lease-then-delete fetches and, under a small
+// ServerCapacity, its capacity NACKs; and
 // remotemem.TCPPager's windowed store-outs, shadow copies,
 // connection-epoch verification and failover to its disk tier, a spill file
 // (memtable.FilePager). A schedule step can be traced (trace.KChaos),

@@ -14,7 +14,7 @@ import (
 // dialing through the proxy.
 func stack(t *testing.T, opts rmtp.Options) (*ServerHandle, *Proxy, *rmtp.Client) {
 	t.Helper()
-	h, err := StartServer(0, rmtp.ServerOptions{})
+	h, err := StartServer(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 // TestServerHandleCrashRestart: a crashed server refuses traffic; the
 // restarted one serves again on the same address, empty.
 func TestServerHandleCrashRestart(t *testing.T) {
-	h, err := StartServer(0, rmtp.ServerOptions{})
+	h, err := StartServer(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,14 @@ import (
 type ServerHandle struct {
 	addr     string
 	capacity int64
-	opts     rmtp.ServerOptions
 	srv      *rmtp.Server
 }
 
 // StartServer launches a server on an ephemeral loopback port and remembers
 // the address so restarts land on it again.
-func StartServer(capacity int64, opts rmtp.ServerOptions) (*ServerHandle, error) {
-	h := &ServerHandle{capacity: capacity, opts: opts}
-	srv := rmtp.NewServerOptions(capacity, opts)
+func StartServer(capacity int64) (*ServerHandle, error) {
+	h := &ServerHandle{capacity: capacity}
+	srv := rmtp.NewServer(capacity)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		return nil, fmt.Errorf("chaos: server listen: %w", err)
 	}
@@ -56,7 +55,7 @@ func (h *ServerHandle) Restart() error {
 	var err error
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv := rmtp.NewServerOptions(h.capacity, h.opts)
+		srv := rmtp.NewServer(h.capacity)
 		if err = srv.Listen(h.addr); err == nil {
 			h.srv = srv
 			return nil

@@ -33,11 +33,6 @@ type SoakConfig struct {
 	SpillDir string
 	// ServerCapacity is the rmtp server's memory budget (0 = unlimited).
 	ServerCapacity int64
-	// ServerOptions arm the server's overload protection.
-	ServerOptions rmtp.ServerOptions
-	// ClientOptions configure the rmtp client's robustness. Zero gets soak
-	// defaults: 250ms deadlines, 3 retries, 2ms jittered backoff.
-	ClientOptions rmtp.Options
 	// Logf, when set, receives step-by-step diagnostics.
 	Logf func(string, ...any)
 	// Rec, when non-nil, receives a KChaos event per applied step (At is
@@ -55,7 +50,8 @@ type SoakReport struct {
 	// Pager counts the TCPPager's shadow, verification and taint activity.
 	Pager remotemem.TCPPagerStats
 	// FallbackStores counts lines diverted to the spill file because the
-	// server refused them (capacity NACK, open breaker, dead connection).
+	// server refused them (capacity NACK, or a dead connection that
+	// outlasted the client's retries).
 	FallbackStores uint64
 	Client         rmtp.Metrics // the pager's rmtp client
 	Proxy          ProxyStats
@@ -97,17 +93,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		defer os.RemoveAll(dir)
 		cfg.SpillDir = dir
 	}
-	if cfg.ClientOptions == (rmtp.Options{}) {
-		cfg.ClientOptions = rmtp.Options{
-			Timeout: 250 * time.Millisecond,
-			Retries: 3,
-			Backoff: 2 * time.Millisecond,
-			Jitter:  0.5,
-		}
-	}
-	if cfg.ClientOptions.Seed == 0 {
-		cfg.ClientOptions.Seed = cfg.Seed + 1
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -118,7 +103,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	// The stack under test: server <- proxy <- TCPPager, with a spill file as
 	// the pager's disk tier.
-	handle, err := StartServer(cfg.ServerCapacity, cfg.ServerOptions)
+	handle, err := StartServer(cfg.ServerCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +113,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		return nil, err
 	}
 	defer proxy.Close()
-	tp, err := remotemem.NewTCPPager("soak", []string{proxy.Addr()}, cfg.ClientOptions)
+	tp, err := remotemem.NewTCPPager("soak", []string{proxy.Addr()}, rmtp.Options{
+		Timeout: 250 * time.Millisecond,
+		Retries: 3,
+		Backoff: 2 * time.Millisecond,
+		Jitter:  0.5,
+		Seed:    cfg.Seed + 1,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,8 @@ type TCPConfig struct {
 	Hash       hpa.HashKind
 	MaxPasses  int
 
-	// ClientOptions tune the rmtp clients (timeouts, retries, breaker).
+	// ClientOptions set the rmtp clients' retry policy (timeout, retries,
+	// jittered backoff).
 	ClientOptions rmtp.Options
 
 	// OnReady, when set, is called with the mesh rendezvous address once
@@ -77,8 +78,8 @@ type TCPConfig struct {
 	// (default 8).
 	RestartLimit int
 	// SpillDir, when set, arms a local-disk fallback tier: store-outs the
-	// whole server fleet refuses (capacity NACKs, open breakers, dead
-	// servers) divert to a spill file there instead of failing the run.
+	// whole server fleet refuses (capacity NACKs, servers that stay dead
+	// through the client's retries) divert to a spill file there instead of failing the run.
 	SpillDir string
 }
 

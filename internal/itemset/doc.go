@@ -19,6 +19,4 @@
 //   - Subsets / CountSubsets: k-subset enumeration over a transaction,
 //     the counting phase's inner loop on both the sequential and parallel
 //     sides.
-//   - HashPair / Pack2: allocation-free pair helpers. HPA's pass-2
-//     sender hashes its pairs with hpa.HashKind.HashPairOf instead.
 package itemset

@@ -217,9 +217,3 @@ func HashKey(key []byte) uint64 {
 
 // HashPair hashes the 2-itemset {a,b} without allocating. a must be < b.
 func HashPair(a, b Item) uint64 { return Itemset{a, b}.Hash() }
-
-// Pack2 packs a 2-itemset into a uint64 (a in the high word). a must be < b.
-func Pack2(a, b Item) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
-// Unpack2 reverses Pack2.
-func Unpack2(p uint64) (a, b Item) { return Item(p >> 32), Item(uint32(p)) }

@@ -93,16 +93,6 @@ func TestHashPairMatchesHash(t *testing.T) {
 	}
 }
 
-func TestPack2RoundTrip(t *testing.T) {
-	prop := func(a, b int32) bool {
-		x, y := Unpack2(Pack2(a, b))
-		return x == a && y == b
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWithout(t *testing.T) {
 	s := New(1, 2, 3, 4)
 	if got := s.Without(0); !got.Equal(New(2, 3, 4)) {

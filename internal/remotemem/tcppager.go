@@ -78,12 +78,12 @@ var windowPool = sync.Pool{New: func() any {
 //     windows.
 //   - Refusal is deferred, and each line is settled once, when its window's
 //     acks arrive: accepted, the ledger records the connection epoch;
-//     refused (capacity NACK, open breaker, dead server), the line goes to
-//     the next servers in the pressure-aware order, with its shadow as the
-//     payload; refused by the whole fleet, to the disk tier (SpillTo).
-//     Without a disk tier the line is served from its shadow, and the call
-//     that settled it returns an error wrapping the last refusal (for a
-//     full fleet, rmtp.ErrCapacity): no line is dropped silently.
+//     refused (capacity NACK, dead server), the line goes to the next
+//     servers in the pressure-aware order, with its shadow as the payload;
+//     refused by the whole fleet, to the disk tier (SpillTo). Without a
+//     disk tier the line is served from its shadow, and the call that
+//     settled it returns an error wrapping the last refusal (for a full
+//     fleet, rmtp.ErrCapacity): no line is dropped silently.
 //   - Every line a server holds keeps a private shadow copy; one-way
 //     updates are mirrored into it. A line on the disk tier keeps none: its
 //     updates and fetch go to the disk tier.
@@ -187,9 +187,6 @@ func (tp *TCPPager) ClientMetrics() rmtp.Metrics {
 		sum.Retries += m.Retries
 		sum.Connects += m.Connects
 		sum.Errors += m.Errors
-		sum.BreakerTrips += m.BreakerTrips
-		sum.BreakerFastFails += m.BreakerFastFails
-		sum.BudgetDenied += m.BudgetDenied
 		sum.ReleaseFailures += m.ReleaseFailures
 		sum.PressureSignals += m.PressureSignals
 		sum.BytesSent += m.BytesSent
@@ -198,12 +195,6 @@ func (tp *TCPPager) ClientMetrics() rmtp.Metrics {
 	}
 	return sum
 }
-
-// Servers returns the fleet size.
-func (tp *TCPPager) Servers() int { return len(tp.clients) }
-
-// ServerAddr returns the address of one fleet member.
-func (tp *TCPPager) ServerAddr(i int) string { return tp.addrs[i] }
 
 // Close closes every client connection.
 func (tp *TCPPager) Close() error {

@@ -18,17 +18,6 @@ import (
 // client never reconnects.
 var ErrClosed = errors.New("rmtp: client closed")
 
-// ErrCircuitOpen is returned (fast, without touching the network) while the
-// client's circuit breaker is open: the server failed BreakerThreshold
-// consecutive operations and the cooldown has not yet elapsed. Callers with a
-// fallback tier should divert on it rather than queue behind a dead server.
-var ErrCircuitOpen = errors.New("rmtp: circuit breaker open")
-
-// ErrRetryBudget marks a retried operation that stopped because the client's
-// cumulative retry budget ran out. Use errors.Is to detect it; the returned
-// error wraps the last transport failure.
-var ErrRetryBudget = errors.New("rmtp: retry budget exhausted")
-
 // ErrCapacity marks a StoreAck the server refused with a capacity NACK: the
 // line would not fit in the server's memory budget. The line was NOT stored;
 // the caller should divert it to a fallback tier.
@@ -38,27 +27,9 @@ var ErrCapacity = errors.New("rmtp: server over capacity")
 // without parsing free text.
 const nackCapacityPrefix = "capacity:"
 
-// BudgetError reports retry-budget exhaustion: which operation gave up, how
-// many retries the client had spent in total, and the last transport failure
-// (unwrappable). errors.Is(err, ErrRetryBudget) matches it.
-type BudgetError struct {
-	Op    Op
-	Spent uint64 // cumulative retries spent by the client when it gave up
-	Err   error  // last transport failure
-}
-
-func (e *BudgetError) Error() string {
-	return fmt.Sprintf("rmtp: retry budget exhausted after %d retries (op %d): %v", e.Spent, e.Op, e.Err)
-}
-
-func (e *BudgetError) Unwrap() error { return e.Err }
-
-// Is reports ErrRetryBudget identity so errors.Is works without exposing the
-// struct.
-func (e *BudgetError) Is(target error) bool { return target == ErrRetryBudget }
-
-// Options configure client-side robustness. The zero value reproduces the
-// original trusting behavior: no deadlines, no retries, no breaker.
+// Options configure the client's one retry policy: a deadline per operation,
+// a retry count, and a doubling, jittered backoff between attempts. The zero
+// value is the trusting client: no deadlines, no retries.
 type Options struct {
 	// Timeout bounds each operation's network I/O (dial, request write,
 	// reply read). Zero means wait forever.
@@ -79,21 +50,6 @@ type Options struct {
 	// Seed makes the jitter sequence deterministic (tests, chaos replays).
 	// Zero derives a seed from the global RNG.
 	Seed int64
-	// RetryBudget caps the client's *cumulative* retries across all
-	// operations (0 = unlimited). When spent, a failing idempotent call
-	// stops after its first attempt and surfaces *BudgetError
-	// (errors.Is(err, ErrRetryBudget)) instead of burning more round trips
-	// on a server that keeps failing.
-	RetryBudget int
-	// BreakerThreshold arms a per-server circuit breaker: after this many
-	// consecutive transport failures the breaker opens and operations fail
-	// fast with ErrCircuitOpen for BreakerCooldown, then a single half-open
-	// probe is allowed through; its success closes the breaker, its failure
-	// re-opens it for another cooldown. Zero disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before the
-	// half-open probe (default 1s when BreakerThreshold is set).
-	BreakerCooldown time.Duration
 }
 
 // Client is a connection to one rmtp server. Methods are safe for
@@ -112,10 +68,6 @@ type Client struct {
 	rng    *rand.Rand // jitter source, guarded by mu
 	m      Metrics
 
-	// Circuit breaker state, guarded by mu.
-	consecFails int       // consecutive transport failures
-	openUntil   time.Time // while in the future, the breaker is open
-
 	// pressured latches the server's soft-watermark signal: true after a
 	// StoreAck reply flagged occupancy pressure, false once a reply reports
 	// the pressure cleared (or after Reset).
@@ -132,15 +84,11 @@ func DialOptions(addr, owner string, opts Options) (*Client, error) {
 	if owner == "" {
 		return nil, fmt.Errorf("rmtp: owner name required")
 	}
-	if opts.Timeout < 0 || opts.Retries < 0 || opts.Backoff < 0 ||
-		opts.RetryBudget < 0 || opts.BreakerThreshold < 0 || opts.BreakerCooldown < 0 {
+	if opts.Timeout < 0 || opts.Retries < 0 || opts.Backoff < 0 {
 		return nil, fmt.Errorf("rmtp: negative option")
 	}
 	if opts.Jitter < 0 || opts.Jitter > 1 {
 		return nil, fmt.Errorf("rmtp: jitter must be in [0,1]")
-	}
-	if opts.BreakerThreshold > 0 && opts.BreakerCooldown == 0 {
-		opts.BreakerCooldown = time.Second
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -154,9 +102,6 @@ func DialOptions(addr, owner string, opts Options) (*Client, error) {
 	}
 	return c, nil
 }
-
-// Owner returns the announced owner name.
-func (c *Client) Owner() string { return c.owner }
 
 // ConnEpoch returns the client's connection generation: it increments every
 // time a (re)connection succeeds. Because frames on one TCP connection are
@@ -222,43 +167,13 @@ func (c *Client) deadline() time.Time {
 	return time.Now().Add(c.opts.Timeout)
 }
 
-// breakerAllowLocked gates one operation through the circuit breaker.
-// Closed (healthy) and disabled breakers always allow. An open breaker
-// fails fast until its cooldown elapses, then admits a single half-open
-// probe — and immediately re-arms the cooldown so concurrent operations
-// keep failing fast until the probe's outcome is known.
-func (c *Client) breakerAllowLocked() error {
-	if c.opts.BreakerThreshold <= 0 || c.consecFails < c.opts.BreakerThreshold {
-		return nil
-	}
-	now := time.Now()
-	if now.Before(c.openUntil) {
-		c.m.BreakerFastFails++
-		return ErrCircuitOpen
-	}
-	// Half-open: admit this operation as the probe.
-	c.openUntil = now.Add(c.opts.BreakerCooldown)
-	return nil
-}
-
-// noteSuccessLocked records a successful exchange for the breaker.
-func (c *Client) noteSuccessLocked() {
-	c.consecFails = 0
-	c.openUntil = time.Time{}
-}
-
 // failLocked discards a connection after a transport error so the next
-// operation starts from a clean stream, and advances the breaker.
+// operation starts from a clean stream.
 func (c *Client) failLocked() {
 	c.m.Errors++
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
-	}
-	c.consecFails++
-	if c.opts.BreakerThreshold > 0 && c.consecFails == c.opts.BreakerThreshold {
-		c.m.BreakerTrips++
-		c.openUntil = time.Now().Add(c.opts.BreakerCooldown)
 	}
 }
 
@@ -278,9 +193,6 @@ func (c *Client) ensureLocked() error {
 func (c *Client) send(op Op, line int32, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.breakerAllowLocked(); err != nil {
-		return err
-	}
 	if err := c.ensureLocked(); err != nil {
 		if !errors.Is(err, ErrClosed) {
 			c.failLocked()
@@ -299,7 +211,6 @@ func (c *Client) send(op Op, line int32, payload []byte) error {
 		c.failLocked()
 		return err
 	}
-	c.noteSuccessLocked()
 	c.m.Ops++
 	c.m.BytesSent += uint64(frameHeaderBytes + len(payload))
 	return nil
@@ -314,9 +225,6 @@ func (c *Client) send(op Op, line int32, payload []byte) error {
 // operation reconnects rather than reading a stale reply (silent corruption).
 func (c *Client) exchangeLocked(op Op, lines []int32, payloads [][]byte, reply func(i int, rop Op, rpayload []byte)) error {
 	start := time.Now()
-	if err := c.breakerAllowLocked(); err != nil {
-		return err
-	}
 	if err := c.ensureLocked(); err != nil {
 		if !errors.Is(err, ErrClosed) {
 			c.failLocked()
@@ -372,7 +280,6 @@ func (c *Client) exchangeLocked(op Op, lines []int32, payloads [][]byte, reply f
 		c.observeCallLocked(start, sent, len(rpayload))
 		reply(i, rop, rpayload)
 	}
-	c.noteSuccessLocked()
 	return nil
 }
 
@@ -391,7 +298,7 @@ func (c *Client) call(op Op, line int32, payload []byte) (Op, []byte, error) {
 
 // callRetried runs one request/reply exchange under callIdempotent.
 func (c *Client) callRetried(op Op, line int32, payload []byte) (rop Op, rpayload []byte, err error) {
-	err = c.callIdempotent(op, func() error {
+	err = c.callIdempotent(func() error {
 		var err error
 		rop, rpayload, err = c.callLocked(op, line, payload)
 		return err
@@ -429,19 +336,13 @@ func (c *Client) backoffLocked(attempt int) time.Duration {
 // Only safe for exchanges whose duplicate execution is harmless. The lock is
 // held per attempt, never across a backoff sleep, so concurrent operations
 // and Close proceed while a retry sequence waits; Close ends the sequence at
-// its next attempt (ErrClosed). A configured RetryBudget bounds cumulative
-// retries across the client's lifetime; exhaustion surfaces *BudgetError.
-func (c *Client) callIdempotent(op Op, exchange func() error) error {
+// its next attempt (ErrClosed). Each call gets the whole Retries allowance:
+// no retry state carries from one call to the next.
+func (c *Client) callIdempotent(exchange func() error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			c.mu.Lock()
-			if c.opts.RetryBudget > 0 && c.m.Retries >= uint64(c.opts.RetryBudget) {
-				c.m.BudgetDenied++
-				spent := c.m.Retries
-				c.mu.Unlock()
-				return &BudgetError{Op: op, Spent: spent, Err: lastErr}
-			}
 			pause := c.backoffLocked(attempt)
 			c.mu.Unlock()
 			if pause > 0 {
@@ -510,7 +411,7 @@ func (c *Client) StoreMany(lines []int32, entries [][]memtable.Entry, acked func
 			from = len(p)
 		}
 		errs := make([]error, len(win))
-		err := c.callIdempotent(OpStoreAck, func() error {
+		err := c.callIdempotent(func() error {
 			return c.exchangeLocked(OpStoreAck, win, payloads, func(i int, op Op, payload []byte) {
 				errs[i] = c.storeReplyLocked(win[i], op, payload)
 			})
@@ -605,7 +506,7 @@ func (c *Client) FetchMany(lines []int32, got func(line int32, entries []memtabl
 		lines = lines[len(win):]
 		entries := make([][]memtable.Entry, len(win))
 		errs := make([]error, len(win))
-		err := c.callIdempotent(OpFetchHold, func() error {
+		err := c.callIdempotent(func() error {
 			return c.exchangeLocked(OpFetchHold, win, nil, func(i int, op Op, payload []byte) {
 				if op == OpErr {
 					entries[i], errs[i] = nil, fmt.Errorf("rmtp: fetch line %d: %s", win[i], payload)
@@ -630,7 +531,7 @@ func (c *Client) FetchMany(lines []int32, got func(line int32, entries []memtabl
 			}
 		}
 		if len(held) > 0 {
-			rerr := c.callIdempotent(OpRelease, func() error {
+			rerr := c.callIdempotent(func() error {
 				return c.exchangeLocked(OpRelease, held, nil, func(int, Op, []byte) {})
 			})
 			if rerr != nil {

@@ -50,16 +50,17 @@
 //     released, the same way. The server keeps a served line until the
 //     client acks receipt, so a reply lost to a dead connection never loses
 //     the line: the retried window re-serves it. Fetch is FetchMany of one
-//     line. Options add per-op deadlines,
-//     jittered exponential backoff, a cumulative retry budget
-//     (*BudgetError / ErrRetryBudget), and a per-server circuit breaker
-//     that fails fast with ErrCircuitOpen after BreakerThreshold
-//     consecutive failures, probing half-open after BreakerCooldown.
+//     line. Options set the client's one retry policy: a per-op
+//     deadline (Timeout), a per-call retry count for idempotent
+//     exchanges (Retries), and a doubling, jittered backoff between
+//     attempts (Backoff, Jitter). No retry state carries from one call to
+//     the next; a server that stays dead costs each call its retries, and
+//     the caller's fallback tier takes the line.
 //   - Metrics: the client's cumulative transport counters — ops, retries,
 //     connects, errors, bytes each way, and a power-of-two latency
 //     histogram (trace.Histogram) over real (wall-clock) round-trip times.
-//     Client.Metrics returns a copy; Metrics.Snapshot and ServerSnapshot
-//     render either side as an ordered trace.Snapshot for attaching to a
+//     Client.Metrics returns a copy; Metrics.Snapshot and
+//     ServerMetrics.Snapshot render either side as an ordered trace.Snapshot for attaching to a
 //     run recording.
 //   - ServerMetrics: the server-side mirror — op totals, occupancy, wire
 //     bytes each way, and a per-request service-time histogram.

@@ -14,21 +14,18 @@ const frameHeaderBytes = 9
 // layer's virtual-time trace, these measure real wall-clock TCP behaviour;
 // the latency histogram is in real nanoseconds.
 type Metrics struct {
-	Ops              uint64          // operations attempted (update batches + calls)
-	UpdateBatches    uint64          // coalesced update frames shipped
-	BatchedUpdates   uint64          // individual updates carried inside batches
-	Calls            uint64          // request/reply exchanges completed
-	Retries          uint64          // re-issued idempotent attempts
-	Connects         uint64          // successful connections (first dial included)
-	Errors           uint64          // transport failures observed
-	BreakerTrips     uint64          // breaker transitions closed -> open
-	BreakerFastFails uint64          // operations refused while the breaker was open
-	BudgetDenied     uint64          // retry sequences cut short by the retry budget
-	ReleaseFailures  uint64          // fetch acks that failed (lease left on the server)
-	PressureSignals  uint64          // soft-watermark onsets observed in store acks
-	BytesSent        uint64          // frames written, headers included
-	BytesRecv        uint64          // reply frames read, headers included
-	Latency          trace.Histogram // per-exchange round-trip latency
+	Ops             uint64          // operations attempted (update batches + calls)
+	UpdateBatches   uint64          // coalesced update frames shipped
+	BatchedUpdates  uint64          // individual updates carried inside batches
+	Calls           uint64          // request/reply exchanges completed
+	Retries         uint64          // re-issued idempotent attempts
+	Connects        uint64          // successful connections (first dial included)
+	Errors          uint64          // transport failures observed
+	ReleaseFailures uint64          // fetch acks that failed (lease left on the server)
+	PressureSignals uint64          // soft-watermark onsets observed in store acks
+	BytesSent       uint64          // frames written, headers included
+	BytesRecv       uint64          // reply frames read, headers included
+	Latency         trace.Histogram // per-exchange round-trip latency
 }
 
 // Snapshot renders the counters as an ordered trace.Snapshot for attaching
@@ -44,9 +41,6 @@ func (m Metrics) Snapshot(name string) trace.Snapshot {
 			{Name: "retries", Value: float64(m.Retries)},
 			{Name: "connects", Value: float64(m.Connects)},
 			{Name: "errors", Value: float64(m.Errors)},
-			{Name: "breaker_trips", Value: float64(m.BreakerTrips)},
-			{Name: "breaker_fast_fails", Value: float64(m.BreakerFastFails)},
-			{Name: "budget_denied", Value: float64(m.BudgetDenied)},
 			{Name: "release_failures", Value: float64(m.ReleaseFailures)},
 			{Name: "pressure_signals", Value: float64(m.PressureSignals)},
 			{Name: "bytes_sent", Value: float64(m.BytesSent)},
@@ -151,11 +145,6 @@ func (m ServerMetrics) Snapshot(name string) trace.Snapshot {
 			{Name: "latency_p99_ns", Value: float64(m.Latency.Quantile(0.99))},
 		},
 	}
-}
-
-// ServerSnapshot renders a server's counters as an ordered trace.Snapshot.
-func ServerSnapshot(name string, s *Server) trace.Snapshot {
-	return s.Metrics().Snapshot(name)
 }
 
 // observeCall records one completed request/reply exchange.

@@ -48,12 +48,9 @@ const (
 )
 
 // maxFrame bounds a frame payload to keep a malformed peer from forcing a
-// huge allocation. MaxFrame is the exported protocol ceiling; servers may
-// enforce a lower per-instance cap (ServerOptions.MaxFrameBytes).
+// huge allocation: it is the protocol-wide frame payload ceiling in bytes.
+// Servers may enforce a lower per-instance cap (ServerOptions.MaxFrameBytes).
 const maxFrame = 16 << 20
-
-// MaxFrame is the protocol-wide frame payload ceiling in bytes.
-const MaxFrame = maxFrame
 
 // ErrFrameTooLarge marks a frame whose declared payload length exceeds the
 // reader's cap. The length field is unsigned on the wire, so a "negative"
@@ -92,7 +89,7 @@ func ReadFrame(r io.Reader) (op Op, line int32, payload []byte, err error) {
 }
 
 // ReadFrameMax reads one frame, rejecting payloads larger than max bytes
-// with ErrFrameTooLarge before allocating. max values outside (0, MaxFrame]
+// with ErrFrameTooLarge before allocating. max values outside (0, maxFrame]
 // fall back to the protocol ceiling.
 func ReadFrameMax(r io.Reader, max int) (op Op, line int32, payload []byte, err error) {
 	if max <= 0 || max > maxFrame {

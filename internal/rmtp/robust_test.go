@@ -2,6 +2,7 @@ package rmtp
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -286,5 +287,123 @@ func TestIdempotentRetryReconnects(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Key != "x" || entries[0].Count != 3 {
 		t.Errorf("fetched %v", entries)
+	}
+}
+
+// killingServer accepts connections and kills each at its first real request
+// until `behaveFrom`; later sessions serve Stat{Lines: 7}.
+func killingServer(t *testing.T, behaveFrom int) *fakeServer {
+	return newFakeServer(t, func(conn net.Conn, session int) {
+		defer conn.Close()
+		for {
+			op, line, _, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if op == OpHello {
+				continue
+			}
+			if session < behaveFrom {
+				return // kill at the first real request
+			}
+			if err := WriteFrame(conn, OpOK, line, EncodeStat(Stat{Lines: 7})); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// TestRetriesArePerCall: the retry policy is per call. Against a server
+// that never behaves, every Stat fails after exactly 1+Retries attempts, each
+// of which reaches the network; nothing accumulates across calls to fail a
+// later call fast or cap its retries.
+func TestRetriesArePerCall(t *testing.T) {
+	srv := killingServer(t, 1<<30) // never behaves
+	cl, err := DialOptions(srv.ln.Addr().String(), "app0",
+		Options{Timeout: time.Second, Retries: 2, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for call := 0; call < 5; call++ {
+		before := cl.Metrics()
+		if _, err := cl.Stat(); err == nil {
+			t.Fatalf("call %d against a killing server succeeded", call)
+		}
+		after := cl.Metrics()
+		if got := after.Retries - before.Retries; got != 2 {
+			t.Errorf("call %d: %d retries, want 2", call, got)
+		}
+		if got := after.Errors - before.Errors; got != 3 {
+			t.Errorf("call %d: %d transport failures, want 3 (one per attempt)", call, got)
+		}
+	}
+}
+
+// TestBackoffJitterSpread: jittered backoff stays within ±Jitter of nominal,
+// actually varies, and is deterministic under a fixed seed.
+func TestBackoffJitterSpread(t *testing.T) {
+	base := 100 * time.Millisecond
+	mk := func(seed int64) *Client {
+		return &Client{
+			opts: Options{Backoff: base, Jitter: 0.5},
+			rng:  rand.New(rand.NewSource(seed)),
+		}
+	}
+	c := mk(1)
+	seen := map[time.Duration]bool{}
+	for i := 0; i < 200; i++ {
+		d := c.backoffLocked(1)
+		if d < base/2 || d > base*3/2 {
+			t.Fatalf("backoff %v outside [%v, %v]", d, base/2, base*3/2)
+		}
+		seen[d] = true
+	}
+	if len(seen) < 20 {
+		t.Errorf("only %d distinct backoffs in 200 draws — jitter not spreading", len(seen))
+	}
+	// Deterministic: same seed, same sequence.
+	a, b := mk(42), mk(42)
+	for i := 1; i <= 32; i++ {
+		if da, db := a.backoffLocked(i), b.backoffLocked(i); da != db {
+			t.Fatalf("attempt %d: %v != %v under the same seed", i, da, db)
+		}
+	}
+}
+
+// TestBackoffDoublingAndCap: without jitter the pause doubles per attempt and
+// the shift is capped so huge attempt counts cannot overflow.
+func TestBackoffDoublingAndCap(t *testing.T) {
+	c := &Client{opts: Options{Backoff: time.Millisecond}}
+	for attempt, want := 1, time.Millisecond; attempt <= 5; attempt, want = attempt+1, want*2 {
+		if d := c.backoffLocked(attempt); d != want {
+			t.Errorf("attempt %d: %v, want %v", attempt, d, want)
+		}
+	}
+	capped := time.Millisecond << 16
+	if d := c.backoffLocked(1000); d != capped {
+		t.Errorf("attempt 1000: %v, want shift-capped %v", d, capped)
+	}
+}
+
+// TestConnEpochAdvancesOnReconnect: the epoch is the reconnect generation
+// resilient callers use to detect possibly-lost one-way frames.
+func TestConnEpochAdvancesOnReconnect(t *testing.T) {
+	srv := killingServer(t, 1) // session 0 dies, 1+ behave
+	cl, err := DialOptions(srv.ln.Addr().String(), "app0",
+		Options{Timeout: time.Second, Retries: 2, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	e0 := cl.ConnEpoch()
+	if e0 != 1 {
+		t.Fatalf("epoch after dial = %d, want 1", e0)
+	}
+	if _, err := cl.Stat(); err != nil { // session 0 dies; retry reconnects
+		t.Fatal(err)
+	}
+	if e1 := cl.ConnEpoch(); e1 != 2 {
+		t.Errorf("epoch after forced reconnect = %d, want 2", e1)
 	}
 }

@@ -2,7 +2,6 @@ package rmtp
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,7 +42,7 @@ type ServerOptions struct {
 	// transparently on their next operation. Zero waits forever.
 	IdleTimeout time.Duration
 	// MaxFrameBytes caps accepted frame payloads below the protocol ceiling
-	// (MaxFrame). An oversized frame draws an OpErr protocol error and the
+	// (maxFrame, 16 MiB). An oversized frame draws an OpErr protocol error and the
 	// session is closed — the declared length is rejected before any
 	// allocation. Zero means the protocol ceiling.
 	MaxFrameBytes int
@@ -135,19 +134,6 @@ func (s *Server) Addr() string {
 		return ""
 	}
 	return s.ln.Addr().String()
-}
-
-// ListenContext is Listen with context-based cancellation: when ctx is
-// done, the server shuts down as if Close had been called.
-func (s *Server) ListenContext(ctx context.Context, addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	go func() {
-		<-ctx.Done()
-		s.Close()
-	}()
-	return nil
 }
 
 // Close stops accepting, terminates live sessions, and waits for connection

@@ -76,9 +76,6 @@ func (r *Resource) Release(p *Proc) {
 	r.release()
 }
 
-// ReleaseFromKernel frees a slot from kernel (event) context.
-func (r *Resource) ReleaseFromKernel() { r.release() }
-
 func (r *Resource) release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)

@@ -73,9 +73,6 @@ func NewCoordinator(ep Endpoint, n, port int) *Coordinator {
 	return &Coordinator{ep: ep, n: n, port: port}
 }
 
-// Gen returns the current recovery generation.
-func (c *Coordinator) Gen() int { return c.gen }
-
 // StaleDropped returns how many control payloads the generation filter has
 // discarded (traffic from aborted pass attempts).
 func (c *Coordinator) StaleDropped() int { return c.stale }
