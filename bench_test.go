@@ -60,3 +60,8 @@ func BenchmarkMemtableBuildProbe(b *testing.B) { perf.BenchMemtableBuildProbe(b)
 // The pass-2 candidate join of the fleet-deep problem: 1,101 frequent items
 // into 605,550 packed candidates.
 func BenchmarkCandidateGen(b *testing.B) { perf.BenchCandidateGen(b) }
+
+// The DES kernel under every simulated figure: one process sleeping, and two
+// processes exchanging sim.Chan messages, 1,000 events per op.
+func BenchmarkSimSleep(b *testing.B)        { perf.BenchSimSleep(b) }
+func BenchmarkSimChanPingPong(b *testing.B) { perf.BenchSimChanPingPong(b) }

@@ -475,5 +475,7 @@ func Benchmarks() []Benchmark {
 		{"RMTPUpdateBatchLoopback", "§4.4 one-way updates", BenchRMTPUpdateBatchLoopback},
 		{"MemtableBuildProbe", "§5.1 hash table", BenchMemtableBuildProbe},
 		{"CandidateGen", "§2.2 candidate generation", BenchCandidateGen},
+		{"SimSleep", "DES kernel (Figs. 3–5)", BenchSimSleep},
+		{"SimChanPingPong", "DES kernel (Figs. 3–5)", BenchSimChanPingPong},
 	}
 }

@@ -373,6 +373,7 @@ func TestBenchmarkRegistry(t *testing.T) {
 		"Pass2CountFlat", "Pass2CountHTree",
 		"Pass2CountFlatUniform", "Pass2CountHTreeUniform",
 		"RMTPUpdateBatchLoopback", "MemtableBuildProbe", "CandidateGen",
+		"SimSleep", "SimChanPingPong",
 	}
 	if len(benches) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(benches), len(want))

@@ -19,40 +19,6 @@ func BenchmarkEventDispatch(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSleepHandshake measures the goroutine handshake cost of a
-// process blocking and resuming — the unit cost of faults and messages.
-func BenchmarkProcSleepHandshake(b *testing.B) {
-	k := NewKernel()
-	k.Go("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-}
-
-// BenchmarkChanPingPong measures two processes exchanging values.
-func BenchmarkChanPingPong(b *testing.B) {
-	k := NewKernel()
-	ping := NewChan[int](k, "ping")
-	pong := NewChan[int](k, "pong")
-	k.Go("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ping.Send(p, i)
-			pong.Recv(p)
-		}
-	})
-	k.Go("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			v := ping.Recv(p)
-			pong.Send(p, v)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-}
-
 // BenchmarkWorkAccrual measures the deferred-charge fast path: Work calls
 // are plain arithmetic until a blocking operation flushes them.
 func BenchmarkWorkAccrual(b *testing.B) {

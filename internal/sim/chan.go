@@ -8,16 +8,21 @@ package sim
 type Chan[T any] struct {
 	k       *Kernel
 	name    string
-	buf     []T
+	buf     []T // buffered values are buf[head:]
+	head    int
 	waiters []*chanWaiter[T]
+	spare   []*chanWaiter[T] // finished waiter records, reused by the next blocking receive
 	sent    uint64
 }
 
+// chanWaiter is one blocked receive. A process waits on at most one channel
+// at a time, so records are recycled through Chan.spare rather than
+// allocated per wait.
 type chanWaiter[T any] struct {
 	p         *Proc
 	val       T
-	delivered bool // a Push handed this waiter a value
-	timedOut  bool // the RecvTimeout deadline fired first
+	delivered bool   // a Push handed this waiter a value
+	gen       uint64 // bumped on recycle, so a stale RecvTimeout deadline cannot touch a later wait
 }
 
 // NewChan creates an empty channel owned by kernel k.
@@ -29,7 +34,7 @@ func NewChan[T any](k *Kernel, name string) *Chan[T] {
 func (c *Chan[T]) Name() string { return c.name }
 
 // Len returns the number of buffered (undelivered) values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
 // Sent returns the total number of values ever pushed.
 func (c *Chan[T]) Sent() uint64 { return c.sent }
@@ -45,10 +50,28 @@ func (c *Chan[T]) Push(v T) {
 		c.waiters = c.waiters[:len(c.waiters)-1]
 		w.val = v
 		w.delivered = true
-		c.k.After(0, c.k.wakeEvent(w.p))
+		c.k.wakeAt(c.k.now, w.p)
 		return
 	}
+	if len(c.buf) == cap(c.buf) && c.head > 0 {
+		n := copy(c.buf, c.buf[c.head:])
+		clear(c.buf[n:])
+		c.buf, c.head = c.buf[:n], 0
+	}
 	c.buf = append(c.buf, v)
+}
+
+// shift removes and returns the oldest buffered value. A drained buffer
+// starts again at the front of its array, so a steady flow reuses it.
+func (c *Chan[T]) shift() T {
+	v := c.buf[c.head]
+	var zero T
+	c.buf[c.head] = zero
+	c.head++
+	if c.head == len(c.buf) {
+		c.buf, c.head = c.buf[:0], 0
+	}
+	return v
 }
 
 // Send enqueues v from process context. Pending Work on p is flushed first so
@@ -61,17 +84,13 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 // Recv blocks p until a value is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
 	p.Flush()
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		var zero T
-		c.buf[0] = zero
-		c.buf = c.buf[1:]
-		return v
+	if c.Len() > 0 {
+		return c.shift()
 	}
-	w := &chanWaiter[T]{p: p}
-	c.waiters = append(c.waiters, w)
+	w := c.wait(p)
 	p.yield()
-	return w.val
+	v, _ := c.recycle(w)
+	return v
 }
 
 // RecvTimeout blocks p until a value is available or d elapses. ok reports
@@ -82,44 +101,61 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d Duration) (v T, ok bool) {
 		return c.Recv(p), true
 	}
 	p.Flush()
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		var zero T
-		c.buf[0] = zero
-		c.buf = c.buf[1:]
-		return v, true
+	if c.Len() > 0 {
+		return c.shift(), true
 	}
-	w := &chanWaiter[T]{p: p}
-	c.waiters = append(c.waiters, w)
-	c.k.After(d, func() {
-		if w.delivered || w.timedOut {
-			return
-		}
-		w.timedOut = true
-		for i, q := range c.waiters {
-			if q == w {
-				copy(c.waiters[i:], c.waiters[i+1:])
-				c.waiters[len(c.waiters)-1] = nil
-				c.waiters = c.waiters[:len(c.waiters)-1]
-				break
-			}
-		}
-		c.k.activate(p)
-	})
+	w := c.wait(p)
+	gen := w.gen
+	c.k.After(d, func() { c.expire(w, gen) })
 	p.yield()
-	return w.val, w.delivered
+	return c.recycle(w)
+}
+
+// wait queues a waiter record for p, reusing a spare one when there is one.
+func (c *Chan[T]) wait(p *Proc) *chanWaiter[T] {
+	var w *chanWaiter[T]
+	if n := len(c.spare); n > 0 {
+		w = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		w = new(chanWaiter[T])
+	}
+	w.p = p
+	c.waiters = append(c.waiters, w)
+	return w
+}
+
+// recycle returns what w received and puts the record back for reuse.
+func (c *Chan[T]) recycle(w *chanWaiter[T]) (v T, ok bool) {
+	v, ok = w.val, w.delivered
+	*w = chanWaiter[T]{gen: w.gen + 1}
+	c.spare = append(c.spare, w)
+	return v, ok
+}
+
+// expire is a RecvTimeout deadline for wait generation gen of w. If that
+// wait is still blocked, it leaves the queue and its process resumes now.
+func (c *Chan[T]) expire(w *chanWaiter[T], gen uint64) {
+	if w.gen != gen || w.delivered {
+		return
+	}
+	for i, q := range c.waiters {
+		if q == w {
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[len(c.waiters)-1] = nil
+			c.waiters = c.waiters[:len(c.waiters)-1]
+			break
+		}
+	}
+	c.k.woken = w.p
 }
 
 // TryRecv returns a buffered value without blocking; ok reports whether one
 // was available.
 func (c *Chan[T]) TryRecv(p *Proc) (v T, ok bool) {
 	p.Flush()
-	if len(c.buf) == 0 {
+	if c.Len() == 0 {
 		return v, false
 	}
-	v = c.buf[0]
-	var zero T
-	c.buf[0] = zero
-	c.buf = c.buf[1:]
-	return v, true
+	return c.shift(), true
 }

@@ -160,3 +160,32 @@ func TestChanFIFOPropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A buffer that never drains keeps FIFO order while Push compacts it.
+func TestChanBufferCompactsInOrder(t *testing.T) {
+	k := NewKernel()
+	c := NewChan[int](k, "c")
+	next, want := 0, 0
+	for ; next < 3; next++ {
+		c.Push(next)
+	}
+	k.Go("r", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			if v := c.Recv(p); v != want {
+				t.Errorf("received %d, want %d", v, want)
+				return
+			}
+			want++
+			c.Push(next)
+			next++
+			if c.Len() != 3 {
+				t.Errorf("Len = %d, want 3", c.Len())
+				return
+			}
+		}
+	})
+	k.Run()
+	if cap(c.buf) > 8 {
+		t.Errorf("buffer of 3 values grew to capacity %d", cap(c.buf))
+	}
+}

@@ -93,3 +93,36 @@ func TestRecvTimeoutBufferedValueImmediate(t *testing.T) {
 		t.Fatalf("RecvTimeout = %d,%v; want 3,true", got, ok)
 	}
 }
+
+// A process whose RecvTimeout expired waits on the same channel again (its
+// waiter record is reused); the first wait's deadline must not cut the second
+// one short, and the second receives normally.
+func TestRecvTimeoutWaiterReusedAfterExpiry(t *testing.T) {
+	k := NewKernel()
+	ch := NewChan[int](k, "c")
+	var first, second, third bool
+	var got, got3 int
+	var at Time
+	k.Go("recv", func(p *Proc) {
+		_, first = ch.RecvTimeout(p, 10*Millisecond)
+		got, second = ch.RecvTimeout(p, 100*Millisecond)
+		at = p.Now()
+		got3, third = ch.RecvTimeout(p, 200*Millisecond)
+	})
+	k.Go("send", func(p *Proc) {
+		p.Sleep(50 * Millisecond)
+		ch.Send(p, 7)
+		p.Sleep(100 * Millisecond) // past the second wait's deadline at 110ms
+		ch.Send(p, 8)
+	})
+	k.Run()
+	if first {
+		t.Fatal("first receive should have timed out")
+	}
+	if !second || got != 7 || at != Time(50*Millisecond) {
+		t.Fatalf("second receive = %d,%v at %v; want 7,true at 50ms", got, second, at)
+	}
+	if !third || got3 != 8 {
+		t.Fatalf("third receive = %d,%v; want 8,true (a stale deadline cut it short)", got3, third)
+	}
+}

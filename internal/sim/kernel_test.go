@@ -143,35 +143,6 @@ func TestProcPanicPropagates(t *testing.T) {
 	k.Run()
 }
 
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.After(10*Millisecond, func() { fired++ })
-	k.After(30*Millisecond, func() { fired++ })
-	now := k.RunUntil(Time(20 * Millisecond))
-	if now != Time(20*Millisecond) || fired != 1 {
-		t.Fatalf("RunUntil: now=%v fired=%d, want 20ms/1", now, fired)
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("continuing Run fired=%d, want 2", fired)
-	}
-}
-
-func TestMaxEventsGuard(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MaxEvents overflow did not panic")
-		}
-	}()
-	k := NewKernel()
-	k.MaxEvents = 10
-	var loop func()
-	loop = func() { k.After(Millisecond, loop) }
-	loop()
-	k.Run()
-}
-
 // Property: the kernel clock is monotonically nondecreasing over any random
 // schedule of events.
 func TestClockMonotonicProperty(t *testing.T) {
@@ -287,5 +258,115 @@ func TestShutdownIdempotentAndSafeWhenAllDone(t *testing.T) {
 	k.Shutdown()
 	if k.Procs() != 0 {
 		t.Errorf("Procs = %d", k.Procs())
+	}
+}
+
+func TestProcPanicWithOthersBlocked(t *testing.T) {
+	k := NewKernel()
+	c := NewChan[int](k, "never")
+	r := NewResource(k, "held", 1)
+	cleaned := 0
+	k.Go("holder", func(p *Proc) {
+		defer func() { cleaned++ }()
+		r.Acquire(p)
+		c.Recv(p)
+	})
+	k.Go("queued", func(p *Proc) {
+		defer func() { cleaned++ }()
+		r.Acquire(p)
+	})
+	k.Go("sleeper", func(p *Proc) {
+		defer func() { cleaned++ }()
+		p.Sleep(Hour)
+	})
+	k.Go("bomb", func(p *Proc) {
+		p.Sleep(Millisecond)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("process panic was not re-raised from Run")
+			}
+		}()
+		k.Run()
+	}()
+	if k.Now() != Time(Millisecond) {
+		t.Errorf("Run stopped at %v, want the panic's instant 1ms", k.Now())
+	}
+	if k.Procs() != 3 {
+		t.Fatalf("Procs = %d after the panic, want 3 blocked", k.Procs())
+	}
+	k.Shutdown()
+	if k.Procs() != 0 || cleaned != 3 {
+		t.Errorf("after Shutdown Procs = %d, cleanups = %d; want 0, 3", k.Procs(), cleaned)
+	}
+}
+
+func TestCallbackPanicOnProcessGoroutineReachesRun(t *testing.T) {
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("a callback's panic unwound the dispatching process: %v", r)
+			}
+		}()
+		k.After(Millisecond, func() { panic("bad event") })
+		p.Sleep(Second) // dispatches the callback on this goroutine
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("callback panic was not re-raised from Run")
+		}
+		k.Shutdown()
+	}()
+	k.Run()
+}
+
+// allocsPerIteration is the allocation count of a simulation whose body runs
+// n iterations, less that of one running n/2: the set-up cancels, so what is
+// left is what the iterations themselves allocate.
+func allocsPerIteration(n int, body func(k *Kernel, n int)) float64 {
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := NewKernel()
+			body(k, n)
+			k.Run()
+		})
+	}
+	return (run(n) - run(n/2)) / float64(n-n/2)
+}
+
+func TestSleepLoopAllocatesNothing(t *testing.T) {
+	got := allocsPerIteration(2000, func(k *Kernel, n int) {
+		k.Go("sleeper", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	})
+	if got != 0 {
+		t.Errorf("Sleep allocates %.3f per iteration, want 0", got)
+	}
+}
+
+func TestChanPingPongAllocatesNothing(t *testing.T) {
+	got := allocsPerIteration(2000, func(k *Kernel, n int) {
+		ping := NewChan[int](k, "ping")
+		pong := NewChan[int](k, "pong")
+		k.Go("a", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				ping.Send(p, i)
+				pong.Recv(p)
+			}
+		})
+		k.Go("b", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				pong.Send(p, ping.Recv(p))
+			}
+		})
+	})
+	if got != 0 {
+		t.Errorf("Chan ping-pong allocates %.3f per iteration, want 0", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 type Proc struct {
 	k       *Kernel
 	name    string
+	body    func(*Proc)
 	resume  chan struct{}
 	done    bool
 	started bool
@@ -41,26 +42,42 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time, including any pending Work charge.
 func (p *Proc) Now() Time { return p.k.now.Add(p.pending) }
 
-func (p *Proc) run(body func(*Proc)) {
-	p.started = true
-	defer func() {
-		p.done = true
-		p.k.procs--
-		if r := recover(); r != nil {
-			p.k.failed = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-		}
-		p.k.ctl <- struct{}{}
-	}()
-	body(p)
+func (p *Proc) run() {
+	defer p.exit()
+	p.body(p)
 }
 
-// yield returns control to the kernel and blocks until resumed. If the
-// kernel is shutting down, the resume unwinds this goroutine instead (its
-// deferred handlers in run still execute and hand control back).
+// exit ends the process and passes the baton on: it dispatches the next
+// wake-up itself, or hands control back to Run if the process panicked.
+func (p *Proc) exit() {
+	k := p.k
+	p.done = true
+	p.body = nil
+	k.procs--
+	if r := recover(); r != nil {
+		k.failed = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+	}
+	var next *Proc
+	if k.failed == nil {
+		next = k.dispatch()
+	}
+	k.handoff(next)
+}
+
+// yield blocks p until its next wake-up. It dispatches events on p's own
+// goroutine: if the first wake-up is p's own, it returns without a goroutine
+// switch; otherwise it hands control straight to the woken process (or back
+// to Run) and waits. If the kernel is shutting down, the resume unwinds this
+// goroutine instead (exit still runs and hands control back).
 func (p *Proc) yield() {
-	p.k.ctl <- struct{}{}
+	k := p.k
+	next := k.dispatch()
+	if next == p {
+		return
+	}
+	k.handoff(next)
 	<-p.resume
-	if p.k.down {
+	if k.down {
 		runtime.Goexit()
 	}
 }
@@ -102,7 +119,7 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 func (p *Proc) sleep(d Duration) {
-	p.k.After(d, p.k.wakeEvent(p))
+	p.k.wakeAt(p.k.now.Add(d), p)
 	p.yield()
 }
 
@@ -113,6 +130,6 @@ func (p *Proc) SleepUntil(t Time) {
 	if t <= p.k.now {
 		return
 	}
-	p.k.At(t, p.k.wakeEvent(p))
+	p.k.wakeAt(t, p)
 	p.yield()
 }

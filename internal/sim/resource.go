@@ -90,7 +90,7 @@ func (r *Resource) release() {
 		r.waiters[len(r.waiters)-1] = nil
 		r.waiters = r.waiters[:len(r.waiters)-1]
 		r.grant()
-		r.k.After(0, r.k.wakeEvent(w))
+		r.k.wakeAt(r.k.now, w)
 	}
 }
 
